@@ -12,36 +12,25 @@ from .bounds import diameter_bound, trivial_bound
 from .errors import (AlgorithmError, EdgeListParseError, GenerationError,
                      GraphError, ValidationError)
 from .exact import (BRUTE_FORCE_MAX_N, SearchLimits, brute_force_geodetic,
-                    exact_geodetic, forced_vertices)
+                    exact_geodetic)
 from .generate import (FAMILIES, GenSpec, SCHEMES, benchmark_grid,
                        edge_count_for_density, generate)
-from .graph import (Graph, is_connected, is_simplicial, parse_edge_list,
-                    write_edge_list)
-from .greedy import (GreedyState, greedy_geodetic, greedy_init,
-                     largest_increase, largest_increase_pair)
-from .ilp import IlpModel, build_model, export_ilp, render_lp
-from .intervals import (DistanceMatrix, IntervalTable, PkTable,
-                        all_pairs_distances, closure, interval_table,
-                        is_geodetic, pk_table, sssp_intervals)
-from .local import (LocalState, find_start, largest_local_increase,
-                    locally_greedy_geodetic)
+from .graph import Graph, parse_edge_list, write_edge_list
+from .greedy import greedy_geodetic
+from .ilp import export_ilp
+from .intervals import Instance
+from .local import locally_greedy_geodetic
 from .result import GeodeticResult
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmError", "BenchConfig", "BenchRecord", "BRUTE_FORCE_MAX_N",
-    "CSV_HEADER", "DistanceMatrix", "EdgeListParseError", "FAMILIES",
-    "GenerationError", "GenSpec", "GeodeticResult", "Graph", "GraphError",
-    "GreedyState", "IlpModel", "IntervalTable", "LocalState", "PkTable",
-    "SCHEMES", "SearchLimits", "ValidationError", "all_pairs_distances",
-    "benchmark_grid", "brute_force_geodetic", "build_model", "closure",
-    "diameter_bound", "edge_count_for_density", "exact_geodetic",
-    "export_ilp", "find_start", "forced_vertices", "format_csv",
-    "format_pretty", "generate", "greedy_geodetic", "greedy_init",
-    "interval_table", "is_connected", "is_geodetic", "is_simplicial",
-    "largest_increase", "largest_increase_pair", "largest_local_increase",
-    "locally_greedy_geodetic", "parse_edge_list", "pk_table", "render_lp",
-    "run_cell", "run_grid", "sssp_intervals", "trivial_bound",
-    "write_edge_list",
+    "CSV_HEADER", "EdgeListParseError", "FAMILIES", "GenerationError",
+    "GenSpec", "GeodeticResult", "Graph", "GraphError", "Instance", "SCHEMES",
+    "SearchLimits", "ValidationError", "benchmark_grid",
+    "brute_force_geodetic", "diameter_bound", "edge_count_for_density",
+    "exact_geodetic", "export_ilp", "format_csv", "format_pretty", "generate",
+    "greedy_geodetic", "locally_greedy_geodetic", "parse_edge_list",
+    "run_cell", "run_grid", "trivial_bound", "write_edge_list",
 ]

@@ -17,6 +17,7 @@ from .errors import AlgorithmError
 from .exact import SearchLimits, exact_geodetic
 from .generate import GenSpec, generate
 from .greedy import greedy_geodetic
+from .intervals import Instance
 from .local import locally_greedy_geodetic
 
 CSV_HEADER = ("family,n,m,seed,exact_value,exact_opt,exact_time,"
@@ -49,18 +50,20 @@ class BenchRecord:
 
 
 def run_cell(spec: GenSpec, config: BenchConfig) -> BenchRecord:
+    """Solve one cell; the solvers share one instance, built off their clocks."""
     g = generate(spec)
-    greedy = greedy_geodetic(g)
-    addone = greedy_geodetic(g, add_one=True)
-    local = locally_greedy_geodetic(g)
+    inst = Instance.of(g)
+    greedy = greedy_geodetic(inst)
+    addone = greedy_geodetic(inst, add_one=True)
+    local = locally_greedy_geodetic(inst)
     for res in (greedy, addone, local):
         if not res.verified:
             raise AlgorithmError(f"unverified heuristic value in cell {spec}")
     exact = None
     if spec.n <= config.exact_max_n:
-        exact = exact_geodetic(g)
+        exact = exact_geodetic(inst)
     elif config.exact_time_budget is not None:
-        exact = exact_geodetic(g, SearchLimits(time_budget=config.exact_time_budget))
+        exact = exact_geodetic(inst, SearchLimits(time_budget=config.exact_time_budget))
     if exact is not None and exact.optimal:
         if exact.value > min(greedy.value, addone.value, local.value):
             raise AlgorithmError(f"exact value above a heuristic in cell {spec}")

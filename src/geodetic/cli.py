@@ -12,18 +12,18 @@ from pathlib import Path
 
 import click
 
-from .bench import BenchConfig, CSV_HEADER, format_csv, format_pretty, run_grid
+from .bench import BenchConfig, format_csv, format_pretty, run_grid
+from .bitset import full_mask, mask_of
 from .bounds import diameter_bound, trivial_bound
-from .errors import AlgorithmError, GraphError
+from .errors import AlgorithmError, GraphError, ValidationError
 from .exact import BRUTE_FORCE_MAX_N, SearchLimits, brute_force_geodetic, exact_geodetic
 from .generate import (FAMILIES, GenSpec, SCHEMES, benchmark_grid,
                        edge_count_for_density, generate)
 from .graph import Graph, parse_edge_list, write_edge_list
 from .greedy import greedy_geodetic
 from .ilp import export_ilp
-from .intervals import all_pairs_distances, closure, interval_table, is_geodetic
+from .intervals import Instance, all_pairs_distances, closure
 from .local import locally_greedy_geodetic
-from .bitset import mask_of
 
 ALGORITHMS = ("exact", "brute", "greedy", "greedy-addone", "locally-greedy",
               "bounds", "all")
@@ -54,8 +54,8 @@ def _translated_errors():
 
 def _load_graph(path: str, one_based: bool) -> Graph:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with _translated_errors():
         return parse_edge_list(text, one_based=one_based, strict=True)
@@ -97,8 +97,11 @@ def generate_cmd(family, n, density, edges, seed, ws_rewire_prob, output):
     click.echo(f"n={g.n} m={g.m} seed={seed}", err=True)
 
 
-def _solve_lines(g: Graph, algorithm: str, limits: SearchLimits | None) -> list[str]:
+def _solve_lines(g: Graph | Instance, algorithm: str,
+                 limits: SearchLimits | None) -> list[str]:
     lines = []
+    if algorithm == "all":
+        g = Instance.of(g)  # one shared build, outside every solver's clock
 
     def fmt(name: str, value: str, seconds: float, note: str) -> str:
         return f"{name:<16}{value:>8}  {seconds:10.6f}s  {note}"
@@ -152,8 +155,10 @@ def solve(graph_file, algorithm, time_budget, node_budget, one_based):
     g = _load_graph(graph_file, one_based)
     limits = None
     if time_budget is not None or node_budget is not None:
-        with _translated_errors():
+        try:
             limits = SearchLimits(time_budget=time_budget, node_budget=node_budget)
+        except ValidationError as exc:
+            raise UsageError(str(exc)) from exc
     with _translated_errors():
         for line in _solve_lines(g, algorithm, limits):
             click.echo(line)
@@ -226,10 +231,8 @@ def verify(graph_file, vertices, one_based):
         if not 0 <= v < g.n:
             raise UsageError(f"vertex {v} out of range for n={g.n}")
     with _translated_errors():
-        table = interval_table(all_pairs_distances(g))
-        members = mask_of(vs)
-        covered = closure(table, members)
-        verdict = "geodetic" if is_geodetic(table, members) else "not geodetic"
+        covered = closure(Instance.of(g).table, mask_of(vs))
+    verdict = "geodetic" if covered == full_mask(g.n) else "not geodetic"
     click.echo(f"{verdict}: closure covers {covered.bit_count()} of {g.n} vertices")
 
 

@@ -21,10 +21,10 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .bitset import full_mask, vertices_of
+from .bitset import full_mask, mask_of, vertices_of
 from .errors import AlgorithmError, ValidationError
-from .graph import Graph, is_simplicial, require_connected
-from .intervals import all_pairs_distances, closure, interval_table, is_geodetic
+from .graph import Graph, is_simplicial
+from .intervals import Instance, closure, is_geodetic
 from .result import GeodeticResult, make_result
 
 BRUTE_FORCE_MAX_N = 25
@@ -38,7 +38,7 @@ class SearchLimits:
     node_budget: int | None = None
 
     def __post_init__(self):
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # also rejects NaN
             raise ValidationError("time_budget must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValidationError("node_budget must be positive")
@@ -57,35 +57,26 @@ def forced_vertices(g: Graph) -> int:
     return mask
 
 
-def brute_force_geodetic(g: Graph) -> GeodeticResult:
+def brute_force_geodetic(x: Graph | Instance) -> GeodeticResult:
     start = time.perf_counter()
-    if g.n > BRUTE_FORCE_MAX_N:
+    if x.n > BRUTE_FORCE_MAX_N:
         raise ValueError(
-            f"brute force capped at n={BRUTE_FORCE_MAX_N}, got n={g.n}")
-    require_connected(g)
-    table = interval_table(all_pairs_distances(g))
-    full = full_mask(g.n)
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            covered = 0
-            for pos, a in enumerate(combo):
-                row = table.rows[a]
-                for b in combo[pos:]:
-                    covered |= row[b - a]
-            if covered == full:
-                members = 0
-                for v in combo:
-                    members |= 1 << v
+            f"brute force capped at n={BRUTE_FORCE_MAX_N}, got n={x.n}")
+    table = Instance.of(x).table
+    for size in range(1, x.n + 1):
+        for combo in itertools.combinations(range(x.n), size):
+            members = mask_of(combo)
+            if is_geodetic(table, members):
                 return make_result("brute-force", members, True, True,
                                    time.perf_counter() - start)
     raise AlgorithmError("no geodetic subset found")  # unreachable: V qualifies
 
 
-def exact_geodetic(g: Graph, limits: SearchLimits | None = None) -> GeodeticResult:
+def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> GeodeticResult:
     start = time.perf_counter()
-    require_connected(g)
+    inst = Instance.of(x)
+    g, table = inst.graph, inst.table
     n = g.n
-    table = interval_table(all_pairs_distances(g))
     full = full_mask(n)
     forced = forced_vertices(g)
     base_cover = closure(table, forced)

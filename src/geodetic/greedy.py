@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .bitset import full_mask
 from .errors import AlgorithmError
-from .graph import Graph, require_connected
-from .intervals import IntervalTable, all_pairs_distances, closure, interval_table, is_geodetic
+from .graph import Graph
+from .intervals import Instance, IntervalTable, closure, is_geodetic
 from .result import GeodeticResult, make_result
 
 
@@ -111,7 +111,7 @@ def _strip_covered(state: GreedyState) -> None:
     state.residual = [[mask & inv for mask in row] for row in state.residual]
 
 
-def greedy_geodetic(g: Graph, add_one: bool = False) -> GeodeticResult:
+def greedy_geodetic(x: Graph | Instance, add_one: bool = False) -> GeodeticResult:
     """Run the covering loop to completion and verify the answer.
 
     The returned set always passes the geodetic check; a failure to cover
@@ -119,10 +119,10 @@ def greedy_geodetic(g: Graph, add_one: bool = False) -> GeodeticResult:
     """
     start = time.perf_counter()
     tag = "greedy-addone" if add_one else "greedy"
+    inst = Instance.of(x)
+    g, table = inst.graph, inst.table
     if g.n == 1:
         return make_result(tag, 1, False, True, time.perf_counter() - start)
-    require_connected(g)
-    table = interval_table(all_pairs_distances(g))
     state = greedy_init(g, table)
     ell, gain_single = largest_increase(state)
     pk, ph, gain_pair = largest_increase_pair(state)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, require_connected
-from .intervals import PkTable, all_pairs_distances, pk_table
+from .intervals import all_pairs_distances, pk_table
 
 _WRAP_COLUMN = 72
 
@@ -29,7 +29,7 @@ _WRAP_COLUMN = 72
 @dataclass(frozen=True)
 class IlpModel:
     n: int
-    pk: PkTable
+    pk: tuple[tuple[tuple[int, int], ...], ...]  # pk[k]: the pairs P(k), from pk_table
 
     @property
     def variable_count(self) -> int:
@@ -65,7 +65,7 @@ def render_lp(model: IlpModel) -> str:
     _emit(lines, " obj: ", [f"x{k}" for k in range(n)], "")
     lines.append("Subject To")
     for k in range(n):
-        tokens = [f"y{i}_{j}" for i, j in model.pk.pairs[k]]
+        tokens = [f"y{i}_{j}" for i, j in model.pk[k]]
         tokens.append(f"x{k}")
         _emit(lines, f" cover{k}: ", tokens, " >= 1")
     for i in range(n):

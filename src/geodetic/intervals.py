@@ -4,7 +4,8 @@ The interval I(i, j) is the set of vertices lying on at least one shortest
 i-j path, endpoints included; I(i, i) = {i}.  A vertex k is in I(i, j)
 exactly when d(i, k) + d(k, j) = d(i, j), which is how the table is built
 from the distance matrix.  Intervals are stored as integer bitmasks in a
-triangular i <= j layout.
+triangular i <= j layout.  An Instance bundles a connected graph with its
+distances and table so that several solvers can share one build.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .bitset import full_mask, vertices_of
 from .errors import ValidationError
-from .graph import Graph
+from .graph import Graph, require_connected
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,6 @@ class IntervalTable:
             i, j = j, i
         return self.rows[i][j - i]
 
-    def full(self) -> int:
-        return full_mask(self.n)
-
 
 def interval_table(dist: DistanceMatrix) -> IntervalTable:
     n, d = dist.n, dist.d
@@ -93,15 +91,34 @@ def is_geodetic(table: IntervalTable, members: int) -> bool:
     return closure(table, members) == full_mask(table.n)
 
 
-@dataclass(frozen=True)
-class PkTable:
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """A connected graph with its distances and interval table.
+
+    Every solver accepts a Graph or an Instance; building the Instance once
+    and passing it to several solvers shares one distance and table build.
+    """
+
+    graph: Graph
+    dist: DistanceMatrix
+    table: IntervalTable
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @classmethod
+    def of(cls, x: Graph | Instance) -> Instance:
+        """x itself when it is already an Instance, else a fresh build."""
+        if isinstance(x, Instance):
+            return x
+        require_connected(x)
+        dist = all_pairs_distances(x)
+        return cls(x, dist, interval_table(dist))
+
+
+def pk_table(dist: DistanceMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each vertex k, the pairs (i, j), i < j, whose interval contains k."""
-
-    n: int
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def pk_table(dist: DistanceMatrix) -> PkTable:
     n, d = dist.n, dist.d
     iu, ju = np.triu_indices(n, k=1)
     per_k = []
@@ -109,7 +126,7 @@ def pk_table(dist: DistanceMatrix) -> PkTable:
         member = (d[:, k, None] + d[k, None, :]) == d
         sel = member[iu, ju]
         per_k.append(tuple(zip(iu[sel].tolist(), ju[sel].tolist())))
-    return PkTable(n, tuple(per_k))
+    return tuple(per_k)
 
 
 def sssp_intervals(g: Graph, v: int) -> list[int]:

@@ -1,11 +1,12 @@
-"""Locally greedy upper bound built from single-source passes only.
+"""Locally greedy upper bound built from single-source passes.
 
-Instead of an all-pairs interval table, each round runs one breadth-first
-interval pass from the vertex added most recently and folds that row into a
-per-vertex gain accumulator: gains[j] is the union of I(s, j) over all
-members s whose pass has run.  The next member is the candidate whose
-accumulated gain adds the most uncovered vertices.  Gains only ever grow, so
-nothing is recomputed from scratch.
+The search never reads the all-pairs interval table.  Each round runs one
+breadth-first interval pass from the vertex added most recently and folds
+that row into a per-vertex gain accumulator: gains[j] is the union of I(s, j)
+over all members s whose pass has run.  The next member is the candidate
+whose accumulated gain adds the most uncovered vertices.  Gains only ever
+grow, so nothing is recomputed from scratch.  The table serves only the
+final check of the answer.
 
 The walk starts from a vertex that must belong to every geodetic set when
 one exists: a degree-one vertex, else a simplicial one; failing both (for
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .bitset import full_mask
 from .errors import AlgorithmError
-from .graph import Graph, is_simplicial, require_connected
-from .intervals import all_pairs_distances, interval_table, is_geodetic, sssp_intervals
+from .graph import Graph, is_simplicial
+from .intervals import Instance, is_geodetic, sssp_intervals
 from .result import GeodeticResult, make_result
 
 
@@ -29,9 +30,7 @@ class LocalState:
     n: int
     members: int = 0
     coverage: int = 0
-    remaining: int = 0
     gains: list[int] = field(default_factory=list)
-    rows: dict[int, list[int]] = field(default_factory=dict)  # source -> interval row
 
 
 def find_start(g: Graph) -> int:
@@ -53,7 +52,6 @@ def largest_local_increase(g: Graph, source: int, state: LocalState) -> tuple[in
     every vertex is a member.
     """
     row = sssp_intervals(g, source)
-    state.rows[source] = row
     members = state.members
     not_covered = ~state.coverage
     best_v = -1
@@ -72,33 +70,31 @@ def largest_local_increase(g: Graph, source: int, state: LocalState) -> tuple[in
     return best_v, state.gains[best_v]
 
 
-def locally_greedy_geodetic(g: Graph) -> GeodeticResult:
+def locally_greedy_geodetic(x: Graph | Instance) -> GeodeticResult:
     """Grow a geodetic set one vertex per single-source pass, then verify."""
     start = time.perf_counter()
     tag = "locally-greedy"
+    inst = Instance.of(x)
+    g = inst.graph
     if g.n == 1:
         return make_result(tag, 1, False, True, time.perf_counter() - start)
-    require_connected(g)
     full = full_mask(g.n)
     v = find_start(g)
-    state = LocalState(n=g.n, members=1 << v, remaining=full, gains=[0] * g.n)
+    state = LocalState(n=g.n, members=1 << v, gains=[0] * g.n)
     u, gain = largest_local_increase(g, v, state)
     state.members |= 1 << u
     state.coverage |= gain | (1 << v) | (1 << u)
-    state.remaining = full & ~state.coverage
     latest = u
-    while state.remaining:
-        before = state.remaining
+    while state.coverage != full:
+        before = state.coverage
         u, gain = largest_local_increase(g, latest, state)
         state.members |= 1 << u
         state.coverage |= gain | (1 << u)
-        state.remaining = full & ~state.coverage
-        if state.remaining == before:
+        if state.coverage == before:
             raise AlgorithmError("local pass added no coverage")
         latest = u
     # final check against the pristine all-pairs table
-    table = interval_table(all_pairs_distances(g))
-    if not is_geodetic(table, state.members):
+    if not is_geodetic(inst.table, state.members):
         raise AlgorithmError("locally greedy set failed the geodetic check")
     return make_result(tag, state.members, False, True,
                        time.perf_counter() - start)

@@ -10,10 +10,12 @@ bitmask folding is checked against these.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
 
 from hypothesis import strategies as st
 
+import geodetic.intervals
 from geodetic.graph import Graph
 
 
@@ -109,3 +111,23 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 9) -> Graph:
                               max_size=len(spare)))
         edges.update(extra)
     return Graph(n, sorted(edges))
+
+
+def count_builds(monkeypatch) -> dict[str, int]:
+    """Count distance and interval-table builds from here on.
+
+    Every loaded geodetic module that binds one of the two builders gets the
+    counting wrapper, so a build reached through any import path is counted.
+    """
+    calls = {"all_pairs_distances": 0, "interval_table": 0}
+    for name in calls:
+        original = getattr(geodetic.intervals, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("geodetic") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from geodetic.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -6,7 +10,14 @@ from geodetic.bench import (
     run_cell,
     run_grid,
 )
-from geodetic.generate import GenSpec
+from geodetic.generate import GenSpec, benchmark_grid
+from helpers import count_builds
+
+# sha256 of the --no-timing CSV of each full scheme at seed base 0
+PINNED_CSV_SHA256 = {
+    "standard": "bf3c9f05d9b79afd5a0ffde690147c9ebc691bc329003fedf88d64490cd3282c",
+    "large": "980befe812200130931f0705b500e9253f846cd5754aedf3db23dd192fd8d357",
+}
 
 
 def small_specs():
@@ -37,6 +48,13 @@ class TestRunCell:
         assert rec.exact_value is not None
         assert rec.exact_optimal is not None
         assert rec.exact_seconds is not None
+
+    @pytest.mark.parametrize("spec", [GenSpec("ER", 10, 18, seed=0),
+                                      GenSpec("WS", 35, 120, seed=1)])
+    def test_one_build_per_cell(self, monkeypatch, spec):
+        calls = count_builds(monkeypatch)
+        run_cell(spec, BenchConfig(exact_max_n=30, exact_time_budget=0.05))
+        assert calls == {"all_pairs_distances": 1, "interval_table": 1}
 
 
 class TestRunGrid:
@@ -107,3 +125,11 @@ class TestFormatting:
         assert lines[0].split()[0] == "family"
         assert len(lines) == 3
         assert "0.0" not in text
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("scheme", sorted(PINNED_CSV_SHA256))
+    def test_scheme_csv_digest(self, scheme):
+        records = run_grid(benchmark_grid(scheme), BenchConfig(include_timing=False))
+        text = format_csv(records, include_timing=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CSV_SHA256[scheme]

@@ -5,6 +5,7 @@ import pytest
 
 from geodetic.cli import main
 from geodetic.graph import parse_edge_list
+from helpers import count_builds
 
 P4_TEXT = "0 1\n1 2\n2 3\n"
 C6_TEXT = "0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
@@ -107,6 +108,21 @@ class TestSolve:
         path = tmp_path / "bad.txt"
         path.write_text("0 1\nnot numbers\n")
         assert main(["solve", str(path)]) == 2
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + "0 1\n".encode("utf-16-le"))
+        assert main(["solve", str(path)]) == 2
+
+    @pytest.mark.parametrize("budget", [["--time-budget", "-1"], ["--time-budget", "0"],
+                                        ["--time-budget", "nan"], ["--node-budget", "0"]])
+    def test_bad_budget_is_usage_error(self, c6_file, budget):
+        assert main(["solve", c6_file, "-a", "exact", *budget]) == 1
+
+    def test_all_shares_one_build(self, c6_file, monkeypatch):
+        calls = count_builds(monkeypatch)
+        assert main(["solve", c6_file, "-a", "all"]) == 0
+        assert calls == {"all_pairs_distances": 1, "interval_table": 1}
 
     def test_missing_file_is_usage_error(self):
         assert main(["solve", "/nonexistent/file.txt"]) == 1

@@ -119,6 +119,8 @@ class TestSearchLimits:
             SearchLimits(time_budget=0)
         with pytest.raises(ValidationError):
             SearchLimits(node_budget=-5)
+        with pytest.raises(ValidationError):
+            SearchLimits(time_budget=float("nan"))
 
     def test_node_budget_returns_upper_bound(self):
         g = cycle_graph(6)

@@ -117,4 +117,4 @@ class TestRender:
             row = next(l for l in text.splitlines()
                        if l.startswith(f" cover{k}: "))
             terms = row.split(": ")[1].split(" >= ")[0].split(" + ")
-            assert terms == [f"y{i}_{j}" for i, j in model.pk.pairs[k]] + [f"x{k}"]
+            assert terms == [f"y{i}_{j}" for i, j in model.pk[k]] + [f"x{k}"]

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 
 from geodetic.bitset import full_mask, mask_of, vertices_of
 from geodetic.errors import ValidationError
+from geodetic.exact import brute_force_geodetic, exact_geodetic
+from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
+from geodetic.greedy import greedy_geodetic
 from geodetic.intervals import (
+    Instance,
     all_pairs_distances,
     closure,
     interval_table,
@@ -15,6 +19,7 @@ from geodetic.intervals import (
     pk_table,
     sssp_intervals,
 )
+from geodetic.local import locally_greedy_geodetic
 from helpers import (
     bfs_distances,
     complete_graph,
@@ -86,10 +91,6 @@ class TestIntervalTable:
         t = interval_table(all_pairs_distances(path_graph(4)))
         assert t.get(3, 0) == t.get(0, 3)
 
-    def test_full(self):
-        t = interval_table(all_pairs_distances(path_graph(3)))
-        assert t.full() == full_mask(3)
-
     @settings(max_examples=60)
     @given(connected_graphs(max_n=8))
     def test_matches_path_enumeration(self, g):
@@ -139,17 +140,17 @@ class TestClosure:
 class TestPkTable:
     def test_path_middle_vertex(self):
         pk = pk_table(all_pairs_distances(path_graph(3)))
-        assert pk.pairs[1] == ((0, 1), (0, 2), (1, 2))
+        assert pk[1] == ((0, 1), (0, 2), (1, 2))
 
     def test_triangle_vertex_zero(self):
         pk = pk_table(all_pairs_distances(complete_graph(3)))
-        assert pk.pairs[0] == ((0, 1), (0, 2))
+        assert pk[0] == ((0, 1), (0, 2))
 
     def test_endpoint_pairs_included(self):
         pk = pk_table(all_pairs_distances(cycle_graph(4)))
         for k in range(4):
             endpoint_pairs = {(min(k, o), max(k, o)) for o in range(4) if o != k}
-            assert endpoint_pairs <= set(pk.pairs[k])
+            assert endpoint_pairs <= set(pk[k])
 
     @settings(max_examples=40)
     @given(connected_graphs(max_n=7))
@@ -159,7 +160,7 @@ class TestPkTable:
             expect = tuple(
                 (i, j) for i, j in itertools.combinations(range(g.n), 2)
                 if k in oracle_interval(g, i, j))
-            assert pk.pairs[k] == expect
+            assert pk[k] == expect
 
 
 class TestSsspIntervals:
@@ -184,3 +185,28 @@ class TestSsspIntervals:
         for v in range(g.n):
             rows = sssp_intervals(g, v)
             assert rows == [t.get(v, j) for j in range(g.n)]
+
+
+class TestInstance:
+    def test_builds_distances_and_table(self):
+        g = cycle_graph(6)
+        inst = Instance.of(g)
+        assert inst.graph is g
+        assert inst.n == 6
+        assert (inst.dist.d == all_pairs_distances(g).d).all()
+        assert inst.table.rows == interval_table(all_pairs_distances(g)).rows
+
+    def test_instance_passes_through(self):
+        inst = Instance.of(path_graph(4))
+        assert Instance.of(inst) is inst
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValidationError):
+            Instance.of(Graph(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("solve", [
+        brute_force_geodetic, exact_geodetic, greedy_geodetic,
+        lambda x: greedy_geodetic(x, add_one=True), locally_greedy_geodetic])
+    def test_solvers_agree_on_graph_and_instance(self, solve):
+        g = generate(GenSpec("BA", 14, 30, seed=5))
+        assert solve(Instance.of(g)).vertices == solve(g).vertices
