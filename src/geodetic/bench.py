@@ -29,7 +29,6 @@ CSV_HEADER = ("family,n,m,seed,exact_value,exact_opt,exact_time,"
 class BenchConfig:
     exact_max_n: int = 30           # exact runs only at or below this size...
     exact_time_budget: float | None = None  # ...unless a budget opts it in everywhere
-    include_timing: bool = True
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,17 @@ def generate_cmd(family, n, density, edges, seed, ws_rewire_prob, output):
     click.echo(f"n={g.n} m={g.m} seed={seed}", err=True)
 
 
+def _search_limits(time_budget: float | None,
+                   node_budget: int | None = None) -> SearchLimits | None:
+    """Budgets from command-line values; an invalid one is a usage error."""
+    if time_budget is None and node_budget is None:
+        return None
+    try:
+        return SearchLimits(time_budget=time_budget, node_budget=node_budget)
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _solve_lines(g: Graph | Instance, algorithm: str,
                  limits: SearchLimits | None) -> list[str]:
     lines = []
@@ -153,12 +164,7 @@ def _solve_lines(g: Graph | Instance, algorithm: str,
 def solve(graph_file, algorithm, time_budget, node_budget, one_based):
     """Run solvers on an edge-list graph and print their values."""
     g = _load_graph(graph_file, one_based)
-    limits = None
-    if time_budget is not None or node_budget is not None:
-        try:
-            limits = SearchLimits(time_budget=time_budget, node_budget=node_budget)
-        except ValidationError as exc:
-            raise UsageError(str(exc)) from exc
+    limits = _search_limits(time_budget, node_budget)
     with _translated_errors():
         for line in _solve_lines(g, algorithm, limits):
             click.echo(line)
@@ -189,13 +195,13 @@ def bench(scheme, families, seed_base, max_n, exact_max_n, exact_time_budget,
     family_tuple = tuple(f.upper() for f in families) if families else FAMILIES
     if jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    _search_limits(exact_time_budget)  # reject a bad budget before any cell runs
     with _translated_errors():
         specs = benchmark_grid(scheme, families=family_tuple, seed_base=seed_base)
         if max_n is not None:
             specs = [s for s in specs if s.n <= max_n]
         config = BenchConfig(exact_max_n=exact_max_n,
-                             exact_time_budget=exact_time_budget,
-                             include_timing=timing)
+                             exact_time_budget=exact_time_budget)
         records = run_grid(specs, config, jobs=jobs)
     Path(output).write_text(format_csv(records, include_timing=timing))
     if pretty:

@@ -97,13 +97,14 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
     forced_list = vertices_of(forced)
     base_unions = [0] * n
     for i in candidates:
+        row = table[i]
         acc = 0
         for f in forced_list:
-            acc |= table.get(i, f)
+            acc |= row[f]
         base_unions[i] = acc
     # candidate pairs by pristine interval size, biggest first, for the bound
     pair_order = sorted(
-        ((table.get(i, j).bit_count(), i, j)
+        ((table[i][j].bit_count(), i, j)
          for pos, i in enumerate(candidates) for j in candidates[pos + 1:]),
         reverse=True)
 
@@ -122,7 +123,7 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
             if size <= best:
                 break  # sorted by pristine size: nothing later can beat it
             if (rem_mask >> i) & 1 and (rem_mask >> j) & 1:
-                masked = (table.get(i, j) & uncov_mask).bit_count()
+                masked = (table[i][j] & uncov_mask).bit_count()
                 if masked > best:
                     best = masked
         return best
@@ -156,6 +157,7 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
             pair_best = best_pair_gain(rem_mask, uncov_mask)
             for pos in range(len(scored) - 1):
                 gain_i, i = scored[pos]
+                row = table[i]
                 if counts[pos] + counts[pos + 1] + pair_best < uncovered:
                     return None  # gains sorted: every later pair is weaker
                 tick()
@@ -163,7 +165,7 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
                     gain_j, j = scored[later]
                     if counts[pos] + counts[later] + pair_best < uncovered:
                         break
-                    joint = gain_i | gain_j | (table.get(i, j) & uncov_mask)
+                    joint = gain_i | gain_j | (row[j] & uncov_mask)
                     if joint == uncov_mask:
                         return (1 << i) | (1 << j)
             return None
@@ -175,8 +177,9 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
         for pos, (gain, i) in enumerate(scored):
             suffix = [t[1] for t in scored[pos + 1:]]
             saved = [(j, unions[j]) for j in suffix]
+            row = table[i]
             for j in suffix:
-                unions[j] |= table.get(i, j)
+                unions[j] |= row[j]
             found = search(suffix, unions, cover | gain, slots - 1)
             for j, old in saved:
                 unions[j] = old

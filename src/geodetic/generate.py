@@ -16,6 +16,7 @@ a fixed retry budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,6 +70,8 @@ def edge_count_for_density(n: int, density: float) -> int:
     Decimal densities are taken exactly (0.25 of 6555 pairs is 1638.75, so
     1638 edges), which keeps the grid free of binary float rounding.
     """
+    if not math.isfinite(density):
+        raise ValidationError(f"density {density} outside (0, 1]")
     frac = Fraction(str(density))
     if not 0 < frac <= 1:
         raise ValidationError(f"density {density} outside (0, 1]")

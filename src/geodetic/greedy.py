@@ -1,8 +1,9 @@
 """Greedy interval-covering upper bound on the geodetic number.
 
-The state keeps, for every pair, the residual interval (pristine interval
-minus everything already covered).  Each round scores the best single vertex
-and the best vertex pair by how much new coverage they would add, then takes
+The state reads the shared interval table in place and never copies it.
+Each round scores the best single vertex and the best vertex pair by how
+much new coverage they would add: a candidate's intervals are united first
+and masked once with the complement of the current coverage.  It then takes
 the single vertex when its gain beats half the pair gain, otherwise the
 pair.  With add_one set, pair additions are disabled after the first round
 so the set grows one vertex at a time.
@@ -21,36 +22,32 @@ from dataclasses import dataclass, field
 from .bitset import full_mask
 from .errors import AlgorithmError
 from .graph import Graph
-from .intervals import Instance, IntervalTable, closure, is_geodetic
+from .intervals import Instance, closure, is_geodetic
 from .result import GeodeticResult, make_result
 
 
 @dataclass
 class GreedyState:
     n: int
-    table: IntervalTable              # pristine intervals, never mutated
-    residual: list[list[int]]         # same layout, covered vertices stripped
+    table: list[list[int]]            # shared pristine intervals, never mutated
     members: int = 0                  # chosen set as a bitmask
     coverage: int = 0                 # closure of the chosen set
-    gains: list[int] = field(default_factory=list)  # per-vertex residual union
+    gains: list[int] = field(default_factory=list)  # per-vertex uncovered union
 
 
-def greedy_init(g: Graph, table: IntervalTable) -> GreedyState:
-    """Seed with all degree <= 1 vertices and strip their coverage."""
+def greedy_init(g: Graph, table: list[list[int]]) -> GreedyState:
+    """Seed with all degree <= 1 vertices and their coverage."""
     n = g.n
     members = 0
     for v in range(n):
         if g.degree(v) <= 1:
             members |= 1 << v
-    covered = closure(table, members)
-    inv = ~covered
-    residual = [[mask & inv for mask in row] for row in table.rows]
-    return GreedyState(n=n, table=table, residual=residual, members=members,
-                       coverage=covered, gains=[0] * n)
+    return GreedyState(n=n, table=table, members=members,
+                       coverage=closure(table, members), gains=[0] * n)
 
 
 def largest_increase(state: GreedyState) -> tuple[int | None, int]:
-    """Best single vertex by residual coverage gain.
+    """Best single vertex by the number of uncovered vertices it adds.
 
     Refreshes state.gains for every non-member as a side effect; pair
     scoring reads them.  Returns (None, 0) when no vertex adds coverage,
@@ -63,13 +60,16 @@ def largest_increase(state: GreedyState) -> tuple[int | None, int]:
         return best_v, best_gain
     member_bits = state.members
     member_list = [v for v in range(state.n) if (member_bits >> v) & 1]
-    residual = state.residual
+    uncovered = ~state.coverage
+    table = state.table
     for i in range(state.n):
         if (member_bits >> i) & 1:
             continue
+        row = table[i]
         union = 0
         for j in member_list:
-            union |= residual[i][j - i] if i <= j else residual[j][i - j]
+            union |= row[j]
+        union &= uncovered
         state.gains[i] = union
         count = union.bit_count()
         if count > best_count:
@@ -80,7 +80,7 @@ def largest_increase(state: GreedyState) -> tuple[int | None, int]:
 
 
 def largest_increase_pair(state: GreedyState) -> tuple[int | None, int | None, int]:
-    """Best pair: residual pair interval plus both single-vertex gains.
+    """Best pair: uncovered part of the pair interval plus both single gains.
 
     Requires state.gains to be current for this state (largest_increase just
     ran).  Returns (None, None, 0) when fewer than two candidates remain or
@@ -91,24 +91,20 @@ def largest_increase_pair(state: GreedyState) -> tuple[int | None, int | None, i
     if len(candidates) < 2:
         return None, None, 0
     gains = state.gains
-    residual = state.residual
+    uncovered = ~state.coverage
+    table = state.table
     best: tuple[int | None, int | None, int] = (None, None, 0)
     best_count = 0
     for pos, i in enumerate(candidates):
-        row = residual[i]
+        row = table[i]
         gain_i = gains[i]
         for j in candidates[pos + 1:]:
-            mask = row[j - i] | gain_i | gains[j]
+            mask = (row[j] & uncovered) | gain_i | gains[j]
             count = mask.bit_count()
             if count > best_count:
                 best_count = count
                 best = (i, j, mask)
     return best
-
-
-def _strip_covered(state: GreedyState) -> None:
-    inv = ~state.coverage
-    state.residual = [[mask & inv for mask in row] for row in state.residual]
 
 
 def greedy_geodetic(x: Graph | Instance, add_one: bool = False) -> GeodeticResult:
@@ -134,7 +130,6 @@ def greedy_geodetic(x: Graph | Instance, add_one: bool = False) -> GeodeticResul
         else:
             state.members |= (1 << pk) | (1 << ph)
             state.coverage |= gain_pair
-        _strip_covered(state)
         ell, gain_single = largest_increase(state)
         if add_one:
             pk = ph = None

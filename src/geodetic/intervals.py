@@ -3,8 +3,9 @@
 The interval I(i, j) is the set of vertices lying on at least one shortest
 i-j path, endpoints included; I(i, i) = {i}.  A vertex k is in I(i, j)
 exactly when d(i, k) + d(k, j) = d(i, j), which is how the table is built
-from the distance matrix.  Intervals are stored as integer bitmasks in a
-triangular i <= j layout.  An Instance bundles a connected graph with its
+from the distance matrix.  Intervals are integer bitmasks in a plain square
+list of lists, read in place as table[i][j]; the two orientations of a pair
+share one int object.  An Instance bundles a connected graph with its
 distances and table so that several solvers can share one build.
 """
 
@@ -19,19 +20,11 @@ from .errors import ValidationError
 from .graph import Graph, require_connected
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; d is a read-only (n, n) int32 array."""
+def all_pairs_distances(g: Graph) -> np.ndarray:
+    """Floyd-Warshall over hop counts, one vectorized relaxation per pivot.
 
-    n: int
-    d: np.ndarray
-
-    def diameter(self) -> int:
-        return int(self.d.max())
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Floyd-Warshall over hop counts, one vectorized relaxation per pivot."""
+    Returns a read-only (n, n) int32 array of hop distances.
+    """
     n = g.n
     d = np.full((n, n), n + 1, dtype=np.int32)  # n+1 acts as infinity
     np.fill_diagonal(d, 0)
@@ -42,53 +35,40 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     if int(d.max()) >= n:
         raise ValidationError("distance matrix undefined: graph is disconnected")
     d.setflags(write=False)
-    return DistanceMatrix(n, d)
+    return d
 
 
-class IntervalTable:
-    """Bitmask interval sets for every unordered vertex pair.
+def interval_table(d: np.ndarray) -> list[list[int]]:
+    """Square table: rows[i][j] is the mask of I(i, j) for every i and j.
 
-    rows[i][j - i] is the mask of I(i, j) for j >= i.
+    Only the j >= i half is computed; rows[j][i] is the same int object as
+    rows[i][j], so the lower half costs list slots, not new masks.
     """
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows: list[list[int]]):
-        self.n = n
-        self.rows = rows
-
-    def get(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.rows[i][j - i]
-
-
-def interval_table(dist: DistanceMatrix) -> IntervalTable:
-    n, d = dist.n, dist.d
-    rows = []
+    n = len(d)
+    rows: list[list[int]] = []
     for i in range(n):
         di = d[i]
-        # member[j, k] == (d(i,k) + d(k,j) == d(i,j))
-        member = (di[None, :] + d) == di[:, None]
+        # member[j - i, k] == (d(i,k) + d(k,j) == d(i,j)) for j >= i
+        member = (di[None, :] + d[i:]) == di[i:, None]
         packed = np.packbits(member, axis=1, bitorder="little")
-        rows.append([int.from_bytes(packed[j].tobytes(), "little")
-                     for j in range(i, n)])
-    return IntervalTable(n, rows)
+        rows.append([rows[j][i] for j in range(i)]
+                    + [int.from_bytes(p.tobytes(), "little") for p in packed])
+    return rows
 
 
-def closure(table: IntervalTable, members: int) -> int:
+def closure(table: list[list[int]], members: int) -> int:
     """Union of I(a, b) over all pairs a <= b drawn from the member mask."""
     out = 0
     vs = vertices_of(members)
     for pos, a in enumerate(vs):
-        row = table.rows[a]
+        row = table[a]
         for b in vs[pos:]:
-            out |= row[b - a]
+            out |= row[b]
     return out
 
 
-def is_geodetic(table: IntervalTable, members: int) -> bool:
-    return closure(table, members) == full_mask(table.n)
+def is_geodetic(table: list[list[int]], members: int) -> bool:
+    return closure(table, members) == full_mask(len(table))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +80,8 @@ class Instance:
     """
 
     graph: Graph
-    dist: DistanceMatrix
-    table: IntervalTable
+    dist: np.ndarray           # read-only hop distances, from all_pairs_distances
+    table: list[list[int]]     # square interval masks, from interval_table
 
     @property
     def n(self) -> int:
@@ -117,9 +97,9 @@ class Instance:
         return cls(x, dist, interval_table(dist))
 
 
-def pk_table(dist: DistanceMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+def pk_table(d: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each vertex k, the pairs (i, j), i < j, whose interval contains k."""
-    n, d = dist.n, dist.d
+    n = len(d)
     iu, ju = np.triu_indices(n, k=1)
     per_k = []
     for k in range(n):

@@ -86,7 +86,7 @@ class TestFormatting:
         assert len(text.splitlines()) == 5
 
     def test_timing_off_is_reproducible(self):
-        config = BenchConfig(include_timing=False)
+        config = BenchConfig()
         a = format_csv(run_grid(small_specs(), config), include_timing=False)
         b = format_csv(run_grid(small_specs(), config), include_timing=False)
         assert a == b
@@ -119,7 +119,7 @@ class TestFormatting:
         assert row[CSV_HEADER.split(",").index("exact_opt")] == "true"
 
     def test_pretty_aligns_and_respects_timing_flag(self):
-        records = run_grid(small_specs()[:2], BenchConfig(include_timing=False))
+        records = run_grid(small_specs()[:2], BenchConfig())
         text = format_pretty(records, include_timing=False)
         lines = text.splitlines()
         assert lines[0].split()[0] == "family"
@@ -130,6 +130,6 @@ class TestFormatting:
 class TestPinnedValues:
     @pytest.mark.parametrize("scheme", sorted(PINNED_CSV_SHA256))
     def test_scheme_csv_digest(self, scheme):
-        records = run_grid(benchmark_grid(scheme), BenchConfig(include_timing=False))
+        records = run_grid(benchmark_grid(scheme), BenchConfig())
         text = format_csv(records, include_timing=False)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CSV_SHA256[scheme]

@@ -62,6 +62,11 @@ class TestGenerate:
         code = main(["generate", "--family", "er", "--n", "12", "--edges", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("density", ["nan", "inf", "2"])
+    def test_bad_density_is_data_error(self, density):
+        code = main(["generate", "--family", "er", "--n", "12", "--density", density])
+        assert code == 2
+
 
 class TestSolve:
     def test_all_algorithms_agree_on_path(self, p4_file, capsys):
@@ -198,6 +203,16 @@ class TestBench:
 
     def test_bad_jobs(self, tmp_path):
         assert main(["bench", "--jobs", "0", "-o", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("budget", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("exact_max_n", [["--exact-max-n", "5"], []],
+                             ids=["exact-max-n-5", "default"])
+    def test_bad_exact_budget_is_usage_error(self, tmp_path, budget, exact_max_n):
+        out = tmp_path / "x.csv"
+        code = main(["bench", "--max-n", "10", *exact_max_n,
+                     "--exact-time-budget", budget, "-o", str(out)])
+        assert code == 1
+        assert not out.exists()
 
 
 class TestEntryPoints:

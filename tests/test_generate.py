@@ -31,6 +31,12 @@ class TestEdgeCount:
         assert edge_count_for_density(10, 0.2) == 9
         assert edge_count_for_density(30, 0.2) == 87
 
+    @pytest.mark.parametrize("density", [float("nan"), float("inf"),
+                                         float("-inf"), 0.0, 2.0])
+    def test_outside_unit_interval_rejected(self, density):
+        with pytest.raises(ValidationError):
+            edge_count_for_density(10, density)
+
 
 class TestGenSpec:
     def test_unknown_family(self):

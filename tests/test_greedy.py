@@ -30,14 +30,14 @@ class TestInit:
         state = fresh_state(path_graph(4))
         assert state.members == mask_of([0, 3])
         assert state.coverage == full_mask(4)
-        assert all(mask == 0 for row in state.residual for mask in row)
+        assert state.coverage == closure(state.table, state.members)
 
     def test_cycle_starts_empty(self):
-        state = fresh_state(cycle_graph(5))
+        t = interval_table(all_pairs_distances(cycle_graph(5)))
+        state = greedy_init(cycle_graph(5), t)
         assert state.members == 0
         assert state.coverage == 0
-        t = interval_table(all_pairs_distances(cycle_graph(5)))
-        assert state.residual == [list(row) for row in t.rows]
+        assert state.table is t  # shared, not copied
 
 
 class TestLargestIncrease:
@@ -49,8 +49,6 @@ class TestLargestIncrease:
         state = fresh_state(complete_graph(3))
         state.members = mask_of([0, 1])
         state.coverage = closure(state.table, state.members)
-        inv = ~state.coverage
-        state.residual = [[m & inv for m in row] for row in state.residual]
         v, gain = largest_increase(state)
         assert v == 2
         assert gain == mask_of([2])
@@ -67,8 +65,6 @@ class TestLargestIncrease:
         if state.members == 0:
             state.members = 1
             state.coverage = closure(state.table, state.members)
-            inv = ~state.coverage
-            state.residual = [[m & inv for m in row] for row in state.residual]
         v, gain = largest_increase(state)
         if v is None:
             return

@@ -33,24 +33,24 @@ from helpers import (
 
 class TestDistances:
     def test_path(self):
-        d = all_pairs_distances(path_graph(4)).d
+        d = all_pairs_distances(path_graph(4))
         assert d[0][3] == 3
         assert d[1][2] == 1
         assert d[2][2] == 0
 
     def test_complete(self):
-        d = all_pairs_distances(complete_graph(4)).d
+        d = all_pairs_distances(complete_graph(4))
         off = ~np.eye(4, dtype=bool)
         assert (d[off] == 1).all()
 
     def test_cycle(self):
-        dist = all_pairs_distances(cycle_graph(6))
-        assert dist.d[0][3] == 3
-        assert dist.d[0][4] == 2
-        assert dist.diameter() == 3
+        d = all_pairs_distances(cycle_graph(6))
+        assert d[0][3] == 3
+        assert d[0][4] == 2
+        assert d.max() == 3
 
     def test_symmetry(self):
-        d = all_pairs_distances(cycle_graph(7)).d
+        d = all_pairs_distances(cycle_graph(7))
         assert (d == d.T).all()
 
     def test_disconnected_rejected(self):
@@ -58,13 +58,13 @@ class TestDistances:
             all_pairs_distances(Graph(4, [(0, 1), (2, 3)]))
 
     def test_matrix_read_only(self):
-        dist = all_pairs_distances(path_graph(3))
+        d = all_pairs_distances(path_graph(3))
         with pytest.raises(ValueError):
-            dist.d[0][0] = 5
+            d[0][0] = 5
 
     @given(connected_graphs())
     def test_matches_bfs(self, g):
-        d = all_pairs_distances(g).d
+        d = all_pairs_distances(g)
         for v in range(g.n):
             assert list(d[v]) == bfs_distances(g, v)
 
@@ -73,23 +73,30 @@ class TestIntervalTable:
     def test_diagonal_is_singleton(self):
         t = interval_table(all_pairs_distances(cycle_graph(5)))
         for i in range(5):
-            assert t.get(i, i) == 1 << i
+            assert t[i][i] == 1 << i
 
     def test_even_cycle_antipodal(self):
         t = interval_table(all_pairs_distances(cycle_graph(4)))
-        assert t.get(0, 2) == 0b1111
+        assert t[0][2] == 0b1111
 
     def test_odd_cycle_one_side(self):
         t = interval_table(all_pairs_distances(cycle_graph(5)))
-        assert t.get(0, 2) == 0b00111
+        assert t[0][2] == 0b00111
 
     def test_path_spans_everything(self):
         t = interval_table(all_pairs_distances(path_graph(4)))
-        assert t.get(0, 3) == 0b1111
+        assert t[0][3] == 0b1111
 
-    def test_get_swaps_arguments(self):
-        t = interval_table(all_pairs_distances(path_graph(4)))
-        assert t.get(3, 0) == t.get(0, 3)
+    @settings(max_examples=40)
+    @given(connected_graphs(max_n=8))
+    def test_square_and_symmetric(self, g):
+        t = interval_table(all_pairs_distances(g))
+        assert len(t) == g.n and all(len(row) == g.n for row in t)
+        for i in range(g.n):
+            for j in range(g.n):
+                assert t[i][j] is t[j][i]
+                assert set(vertices_of(t[i][j])) == oracle_interval(g, i, j)
+                assert set(vertices_of(t[j][i])) == oracle_interval(g, j, i)
 
     @settings(max_examples=60)
     @given(connected_graphs(max_n=8))
@@ -97,7 +104,7 @@ class TestIntervalTable:
         t = interval_table(all_pairs_distances(g))
         for i in range(g.n):
             for j in range(i, g.n):
-                assert set(vertices_of(t.get(i, j))) == oracle_interval(g, i, j)
+                assert set(vertices_of(t[i][j])) == oracle_interval(g, i, j)
 
 
 class TestClosure:
@@ -184,7 +191,7 @@ class TestSsspIntervals:
         t = interval_table(all_pairs_distances(g))
         for v in range(g.n):
             rows = sssp_intervals(g, v)
-            assert rows == [t.get(v, j) for j in range(g.n)]
+            assert rows == t[v]
 
 
 class TestInstance:
@@ -193,8 +200,8 @@ class TestInstance:
         inst = Instance.of(g)
         assert inst.graph is g
         assert inst.n == 6
-        assert (inst.dist.d == all_pairs_distances(g).d).all()
-        assert inst.table.rows == interval_table(all_pairs_distances(g)).rows
+        assert (inst.dist == all_pairs_distances(g)).all()
+        assert inst.table == interval_table(all_pairs_distances(g))
 
     def test_instance_passes_through(self):
         inst = Instance.of(path_graph(4))
@@ -210,3 +217,13 @@ class TestInstance:
     def test_solvers_agree_on_graph_and_instance(self, solve):
         g = generate(GenSpec("BA", 14, 30, seed=5))
         assert solve(Instance.of(g)).vertices == solve(g).vertices
+
+    def test_solvers_leave_shared_instance_intact(self):
+        g = generate(GenSpec("WS", 14, 30, seed=3))
+        inst = Instance.of(g)
+        for solve in (greedy_geodetic, lambda x: greedy_geodetic(x, add_one=True),
+                      locally_greedy_geodetic, exact_geodetic, brute_force_geodetic):
+            solve(inst)
+        fresh = Instance.of(g)
+        assert (inst.dist == fresh.dist).all()
+        assert inst.table == fresh.table

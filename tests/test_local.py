@@ -82,7 +82,7 @@ class TestLargestLocalIncrease:
         state = state_after_start(g, v)
         largest_local_increase(g, v, state)
         # the first pass folds I(v, j) into the empty gain of every non-member
-        assert all(state.gains[j] == t.get(v, j) for j in range(g.n) if j != v)
+        assert all(state.gains[j] == t[v][j] for j in range(g.n) if j != v)
 
 
 class TestLocallyGreedy:
