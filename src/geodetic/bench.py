@@ -79,10 +79,10 @@ def run_cell(spec: GenSpec, config: BenchConfig) -> BenchRecord:
 def run_grid(specs: list[GenSpec], config: BenchConfig,
              jobs: int = 1) -> list[BenchRecord]:
     """All cells in input order; with jobs > 1 the cells run in parallel but
-    the returned order is unchanged."""
-    if jobs <= 1:
+    the returned order is unchanged.  No more workers than cells are started."""
+    if jobs <= 1 or len(specs) <= 1:
         return [run_cell(spec, config) for spec in specs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
         return list(pool.map(partial(run_cell, config=config), specs))
 
 

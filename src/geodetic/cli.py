@@ -183,7 +183,7 @@ def solve(graph_file, algorithm, time_budget, node_budget, one_based):
 @click.option("--exact-time-budget", type=float, default=None,
               help="Opt the exact solver in on every cell with this budget.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes; row order stays deterministic.")
+              help="Worker processes, at most one per cell; row order stays deterministic.")
 @click.option("--timing/--no-timing", default=True, show_default=True,
               help="Write wall-clock columns; disable for byte-reproducible CSV.")
 @click.option("--pretty", is_flag=True, help="Also print an aligned table.")

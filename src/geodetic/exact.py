@@ -21,10 +21,10 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .bitset import full_mask, mask_of, vertices_of
+from .bitset import full_mask, mask_of
 from .errors import AlgorithmError, ValidationError
 from .graph import Graph, is_simplicial
-from .intervals import Instance, closure, is_geodetic
+from .intervals import Cover, Instance, is_geodetic
 from .result import GeodeticResult, make_result
 
 BRUTE_FORCE_MAX_N = 25
@@ -79,8 +79,8 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
     n = g.n
     full = full_mask(n)
     forced = forced_vertices(g)
-    base_cover = closure(table, forced)
-    if base_cover == full:
+    base = Cover(table, forced)
+    if base.coverage == full:
         # forced vertices lie in every geodetic set, so this is the minimum
         return make_result("exact", forced, True, True,
                            time.perf_counter() - start)
@@ -94,14 +94,6 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
     nodes = 0
 
     candidates = [v for v in range(n) if not (forced >> v) & 1]
-    forced_list = vertices_of(forced)
-    base_unions = [0] * n
-    for i in candidates:
-        row = table[i]
-        acc = 0
-        for f in forced_list:
-            acc |= row[f]
-        base_unions[i] = acc
     # candidate pairs by pristine interval size, biggest first, for the bound
     pair_order = sorted(
         ((table[i][j].bit_count(), i, j)
@@ -188,12 +180,12 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
         return None
 
     # always-valid fallback: forced core plus everything it fails to cover
-    incumbent = forced | (full & ~base_cover)
+    incumbent = forced | (full & ~base.coverage)
     budget_hit = False
     chosen: int | None = None
     try:
         for total in range(max(forced.bit_count() + 1, 2), n + 1):
-            chosen = search(candidates, list(base_unions), base_cover,
+            chosen = search(candidates, list(base.gains), base.coverage,
                             total - forced.bit_count())
             if chosen is not None:
                 break

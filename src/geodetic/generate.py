@@ -17,6 +17,7 @@ a fixed retry budget.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,30 +79,46 @@ def edge_count_for_density(n: int, density: float) -> int:
     return int(frac * (n * (n - 1) // 2))
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _pair_decoder(n: int):
+    """Map an index into the lexicographic list of pairs u < v to the pair.
+
+    Row u of that list starts at offset u*(2n-u-1)/2; only the n offsets are
+    stored, never the n(n-1)/2 pairs.
+    """
+    offsets = [u * (2 * n - u - 1) // 2 for u in range(n)]
+
+    def pair(p: int) -> tuple[int, int]:
+        u = bisect_right(offsets, p) - 1
+        return u, u + 1 + p - offsets[u]
+
+    return pair
 
 
-def _top_up(edges: set[tuple[int, int]], pairs: list[tuple[int, int]],
-            m_target: int, rng: SplitMix64) -> None:
+def _top_up(edges: set[tuple[int, int]], n: int, m_target: int,
+            rng: SplitMix64) -> None:
     # uniform random missing edges until the count is exact
+    pair = _pair_decoder(n)
+    total = n * (n - 1) // 2
     while len(edges) < m_target:
-        e = pairs[rng.randrange(len(pairs))]
-        edges.add(e)
+        edges.add(pair(rng.randrange(total)))
 
 
 def _draw_er(n: int, m: int, rng: SplitMix64) -> set[tuple[int, int]]:
-    pairs = _all_pairs(n)
-    idx = list(range(len(pairs)))
-    # partial Fisher-Yates: the first m slots are a uniform m-subset
+    pair = _pair_decoder(n)
+    total = n * (n - 1) // 2
+    # partial Fisher-Yates over the virtual index array 0..total-1: the first
+    # m slots are a uniform m-subset; only the swapped slots are stored
+    swapped: dict[int, int] = {}
+    edges = set()
     for t in range(m):
-        j = t + rng.randrange(len(idx) - t)
-        idx[t], idx[j] = idx[j], idx[t]
-    return {pairs[idx[t]] for t in range(m)}
+        j = t + rng.randrange(total - t)
+        picked = swapped.get(j, j)
+        swapped[j] = swapped.get(t, t)
+        edges.add(pair(picked))
+    return edges
 
 
 def _draw_ws(n: int, m: int, rewire_prob: float, rng: SplitMix64) -> set[tuple[int, int]]:
-    pairs = _all_pairs(n)
     edges: set[tuple[int, int]] = set()
     k_half = m // n
     for i in range(n):
@@ -122,12 +139,11 @@ def _draw_ws(n: int, m: int, rewire_prob: float, rng: SplitMix64) -> set[tuple[i
                     edges.remove(e)
                     edges.add(cand)
                     break
-    _top_up(edges, pairs, m, rng)
+    _top_up(edges, n, m, rng)
     return edges
 
 
 def _draw_ba(n: int, m: int, rng: SplitMix64) -> set[tuple[int, int]]:
-    pairs = _all_pairs(n)
     d = max(1, m // n)
     seed_size = min(d + 1, n)
     edges = {(u, v) for u in range(seed_size) for v in range(u + 1, seed_size)}
@@ -151,7 +167,7 @@ def _draw_ba(n: int, m: int, rng: SplitMix64) -> set[tuple[int, int]]:
             edges.add((u, v))
             degree[u] += 1
             degree[v] += 1
-    _top_up(edges, pairs, m, rng)
+    _top_up(edges, n, m, rng)
     return edges
 
 

@@ -7,11 +7,19 @@ from the distance matrix.  Intervals are integer bitmasks in a plain square
 list of lists, read in place as table[i][j]; the two orientations of a pair
 share one int object.  An Instance bundles a connected graph with its
 distances and table so that several solvers can share one build.
+
+A Cover is a vertex set grown one vertex at a time, with its closure and,
+for every vertex j, the union of I(s, j) over the members s.  Greedy, add-one,
+locally greedy and the exact search's forced core all grow their sets
+through it.  sssp_intervals builds one table row by breadth-first search
+instead; no solver calls it, it is the independent reference the table is
+checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
 import numpy as np
 
@@ -71,6 +79,30 @@ def is_geodetic(table: list[list[int]], members: int) -> bool:
     return closure(table, members) == full_mask(len(table))
 
 
+class Cover:
+    """A growing vertex set with its closure and per-vertex gains.
+
+    Invariants: coverage == closure(table, members), and gains[j] is the
+    union of table[s][j] over the members s, so adding j would grow the
+    coverage by gains[j] | 1 << j.  The table is shared and never mutated.
+    """
+
+    __slots__ = ("table", "members", "coverage", "gains")
+
+    def __init__(self, table: list[list[int]], members: int = 0):
+        self.table = table
+        self.members = 0
+        self.coverage = 0
+        self.gains = [0] * len(table)
+        for v in vertices_of(members):
+            self.add(v)
+
+    def add(self, v: int) -> None:
+        self.coverage |= self.gains[v] | 1 << v
+        self.members |= 1 << v
+        self.gains = list(map(or_, self.gains, self.table[v]))
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """A connected graph with its distances and interval table.
@@ -111,6 +143,8 @@ def pk_table(d: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def sssp_intervals(g: Graph, v: int) -> list[int]:
     """One interval-table row from a single source, no all-pairs matrix.
+
+    The reference the table is checked against; no solver calls it.
 
     Runs a breadth-first pass from v, then accumulates shortest-path DAG
     ancestors in order of increasing distance: the ancestor set of j is j

@@ -10,7 +10,10 @@ from geodetic.bench import (
     run_cell,
     run_grid,
 )
-from geodetic.generate import GenSpec, benchmark_grid
+from geodetic.generate import GenSpec, benchmark_grid, generate
+from geodetic.greedy import greedy_geodetic
+from geodetic.intervals import Instance
+from geodetic.local import locally_greedy_geodetic
 from helpers import count_builds
 
 # sha256 of the --no-timing CSV of each full scheme at seed base 0
@@ -18,6 +21,10 @@ PINNED_CSV_SHA256 = {
     "standard": "bf3c9f05d9b79afd5a0ffde690147c9ebc691bc329003fedf88d64490cd3282c",
     "large": "980befe812200130931f0705b500e9253f846cd5754aedf3db23dd192fd8d357",
 }
+
+# sha256 of the greedy, add-one and local vertex sets, one line per result,
+# on ER/WS/BA at n=150, m=600, seeds 0-2
+PINNED_SETS_SHA256 = "0759a4d6c04487fa3b699ad016b0a6e2772fad0a17e4c31e39b7df83838e5685"
 
 
 def small_specs():
@@ -71,6 +78,31 @@ class TestRunGrid:
                              r.greedy_value, r.addone_value, r.local_value)
                             for r in rs]
         assert strip(serial) == strip(parallel)
+
+    def test_workers_capped_at_cell_count(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            # stands in for the process pool: records the size, maps in-process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("geodetic.bench.ProcessPoolExecutor", SerialPool)
+        records = run_grid(small_specs()[:2], BenchConfig(), jobs=64)
+        assert asked == [2]
+        assert [r.seed for r in records] == [0, 1]
+        assert run_grid(small_specs()[:1], BenchConfig(), jobs=64)[0].seed == 0
+        assert run_grid([], BenchConfig(), jobs=64) == []
+        assert asked == [2]  # one cell or none runs without a pool
 
 
 class TestFormatting:
@@ -133,3 +165,14 @@ class TestPinnedValues:
         records = run_grid(benchmark_grid(scheme), BenchConfig())
         text = format_csv(records, include_timing=False)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CSV_SHA256[scheme]
+
+    def test_heuristic_sets_digest(self):
+        digest = hashlib.sha256()
+        for family in ("ER", "WS", "BA"):
+            for seed in range(3):
+                inst = Instance.of(generate(GenSpec(family, 150, 600, seed)))
+                for res in (greedy_geodetic(inst), greedy_geodetic(inst, add_one=True),
+                            locally_greedy_geodetic(inst)):
+                    vertices = " ".join(map(str, res.vertices))
+                    digest.update(f"{family} {seed} {res.algorithm} {vertices}\n".encode())
+        assert digest.hexdigest() == PINNED_SETS_SHA256

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import pytest
 
 from geodetic.errors import ValidationError
@@ -8,7 +11,17 @@ from geodetic.generate import (
     edge_count_for_density,
     generate,
 )
-from geodetic.graph import is_connected
+from geodetic.graph import is_connected, write_edge_list
+
+# sha256 of write_edge_list(generate(spec)), pinned so draws stay byte-identical
+PINNED_EDGE_LIST_SHA256 = [
+    (GenSpec("ER", 30, 90, 1), "95197d2ab5e97bdc47329cfc87dda4e7daed8f49686181b71b74b263c572c8ac"),
+    (GenSpec("ER", 200, 9950, 4), "4cd96ab1ecb589e37653dd2df5e5cd00073580872a29d8d09a0815c32dbb1a4e"),
+    (GenSpec("WS", 60, 240, 2), "9e7857a55ee9fc4d5c5f62a1d25df924f2aa735dc6023d968d987a7df225824b"),
+    (GenSpec("WS", 45, 500, 7), "9e360f81bc775fc394dd93235fed688fe06012bcd6c82e5a5aecee2aa215cb62"),
+    (GenSpec("BA", 80, 320, 3), "b0e0c54b454324bfbc46bd4f3af3f5a235f6840b2ef10cc667bbcb54527b746b"),
+    (GenSpec("BA", 50, 900, 11), "6c7599ec8ef624cd4b7045f7578a82bc440cc31597a79a4dcd893df21ba64801"),
+]
 
 
 class TestEdgeCount:
@@ -97,6 +110,24 @@ class TestGenerate:
         a = generate(GenSpec("WS", 30, 120, 5, ws_rewire_prob=0.0))
         b = generate(GenSpec("WS", 30, 120, 5, ws_rewire_prob=1.0))
         assert a != b
+
+    @pytest.mark.parametrize("spec,digest", PINNED_EDGE_LIST_SHA256,
+                             ids=lambda x: f"{x.family}-{x.n}-{x.m_target}"
+                             if isinstance(x, GenSpec) else "")
+    def test_pinned_edge_lists(self, spec, digest):
+        text = write_edge_list(generate(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_sparse_draw_does_not_list_every_pair(self):
+        # 5000 edges among 1200 vertices; the 719,400 possible pairs must
+        # not be materialized
+        tracemalloc.start()
+        try:
+            generate(GenSpec("ER", 1200, 5000, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestBenchmarkGrid:

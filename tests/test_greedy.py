@@ -7,11 +7,11 @@ from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
 from geodetic.greedy import (
     greedy_geodetic,
-    greedy_init,
     largest_increase,
     largest_increase_pair,
+    leaves,
 )
-from geodetic.intervals import all_pairs_distances, closure, interval_table, is_geodetic
+from geodetic.intervals import Cover, all_pairs_distances, closure, interval_table, is_geodetic
 from helpers import (
     complete_graph,
     connected_graphs,
@@ -21,74 +21,72 @@ from helpers import (
 )
 
 
-def fresh_state(g):
-    return greedy_init(g, interval_table(all_pairs_distances(g)))
+def seeded_cover(g):
+    return Cover(interval_table(all_pairs_distances(g)), leaves(g))
 
 
 class TestInit:
     def test_path_seeds_with_leaves(self):
-        state = fresh_state(path_graph(4))
-        assert state.members == mask_of([0, 3])
-        assert state.coverage == full_mask(4)
-        assert state.coverage == closure(state.table, state.members)
+        cover = seeded_cover(path_graph(4))
+        assert cover.members == mask_of([0, 3])
+        assert cover.coverage == full_mask(4)
+        assert cover.coverage == closure(cover.table, cover.members)
 
     def test_cycle_starts_empty(self):
         t = interval_table(all_pairs_distances(cycle_graph(5)))
-        state = greedy_init(cycle_graph(5), t)
-        assert state.members == 0
-        assert state.coverage == 0
-        assert state.table is t  # shared, not copied
+        cover = Cover(t, leaves(cycle_graph(5)))
+        assert cover.members == 0
+        assert cover.coverage == 0
+        assert cover.table is t  # shared, not copied
 
 
 class TestLargestIncrease:
     def test_empty_set_has_no_gain(self):
-        state = fresh_state(cycle_graph(5))
-        assert largest_increase(state) == (None, 0)
+        cover = seeded_cover(cycle_graph(5))
+        assert largest_increase(cover) == (None, 0)
 
     def test_triangle_with_two_members(self):
-        state = fresh_state(complete_graph(3))
-        state.members = mask_of([0, 1])
-        state.coverage = closure(state.table, state.members)
-        v, gain = largest_increase(state)
+        cover = seeded_cover(complete_graph(3))
+        cover.add(0)
+        cover.add(1)
+        assert cover.coverage == closure(cover.table, mask_of([0, 1]))
+        v, gain = largest_increase(cover)
         assert v == 2
         assert gain == mask_of([2])
 
     def test_no_candidates_left(self):
-        state = fresh_state(Graph(2, [(0, 1)]))
-        assert state.members == 0b11
-        assert largest_increase(state) == (None, 0)
+        cover = seeded_cover(Graph(2, [(0, 1)]))
+        assert cover.members == 0b11
+        assert largest_increase(cover) == (None, 0)
 
     @settings(max_examples=40)
     @given(connected_graphs(min_n=3, max_n=8))
     def test_gain_equals_closure_difference(self, g):
-        state = fresh_state(g)
-        if state.members == 0:
-            state.members = 1
-            state.coverage = closure(state.table, state.members)
-        v, gain = largest_increase(state)
+        cover = seeded_cover(g)
+        if cover.members == 0:
+            cover.add(0)
+        assert cover.coverage == closure(cover.table, cover.members)
+        v, gain = largest_increase(cover)
         if v is None:
             return
-        grown = closure(state.table, state.members | (1 << v))
-        assert gain == grown & ~state.coverage
+        grown = closure(cover.table, cover.members | (1 << v))
+        assert gain == grown & ~cover.coverage
 
 
 class TestLargestIncreasePair:
     def test_odd_cycle_picks_longest_interval(self):
-        state = fresh_state(cycle_graph(5))
-        largest_increase(state)
-        i, j, gain = largest_increase_pair(state)
+        cover = seeded_cover(cycle_graph(5))
+        i, j, gain = largest_increase_pair(cover)
         assert (i, j) == (0, 2)
         assert gain == mask_of([0, 1, 2])
 
     def test_too_few_candidates(self):
-        state = fresh_state(Graph(2, [(0, 1)]))
-        largest_increase(state)
-        assert largest_increase_pair(state) == (None, None, 0)
+        cover = seeded_cover(Graph(2, [(0, 1)]))
+        assert largest_increase_pair(cover) == (None, None, 0)
 
     def test_pair_gain_covers_both_endpoints(self):
-        state = fresh_state(cycle_graph(7))
-        largest_increase(state)
-        i, j, gain = largest_increase_pair(state)
+        cover = seeded_cover(cycle_graph(7))
+        i, j, gain = largest_increase_pair(cover)
         assert gain & (1 << i)
         assert gain & (1 << j)
 

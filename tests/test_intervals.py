@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodetic.bitset import full_mask, mask_of, vertices_of
 from geodetic.errors import ValidationError
@@ -11,6 +12,7 @@ from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
 from geodetic.greedy import greedy_geodetic
 from geodetic.intervals import (
+    Cover,
     Instance,
     all_pairs_distances,
     closure,
@@ -142,6 +144,41 @@ class TestClosure:
         assert got == oracle_closure(g, members)
         bigger = members | {g.n - 1}
         assert got <= set(vertices_of(closure(t, mask_of(bigger))))
+
+
+class TestCover:
+    def test_starts_empty(self):
+        t = interval_table(all_pairs_distances(path_graph(3)))
+        cover = Cover(t)
+        assert (cover.members, cover.coverage, cover.gains) == (0, 0, [0, 0, 0])
+
+    def test_path_endpoints(self):
+        t = interval_table(all_pairs_distances(path_graph(4)))
+        cover = Cover(t, mask_of([0, 3]))
+        assert cover.coverage == full_mask(4)
+        assert cover.gains == [t[0][j] | t[3][j] for j in range(4)]
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_invariants_in_any_add_order(self, data):
+        g = data.draw(connected_graphs(max_n=8))
+        t = interval_table(all_pairs_distances(g))
+        order = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+        cover = Cover(t)
+        for v in order:
+            cover.add(v)
+        members = mask_of(order)
+        assert cover.members == members
+        assert cover.coverage == closure(t, members)
+        assert set(vertices_of(cover.coverage)) == oracle_closure(g, set(order))
+        for j in range(g.n):
+            union = 0
+            for s in order:
+                union |= t[s][j]
+            assert cover.gains[j] == union
+        ascending = Cover(t, members)
+        assert (ascending.coverage, ascending.gains) == (cover.coverage, cover.gains)
+        assert cover.table is t
 
 
 class TestPkTable:

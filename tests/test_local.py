@@ -2,16 +2,12 @@ import pytest
 from hypothesis import given, settings
 
 from geodetic.bitset import full_mask, mask_of
-from geodetic.errors import AlgorithmError, ValidationError
+from geodetic.errors import ValidationError
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
-from geodetic.intervals import all_pairs_distances, interval_table, is_geodetic
-from geodetic.local import (
-    LocalState,
-    find_start,
-    largest_local_increase,
-    locally_greedy_geodetic,
-)
+from geodetic.greedy import largest_increase
+from geodetic.intervals import Cover, all_pairs_distances, interval_table, is_geodetic
+from geodetic.local import find_start, locally_greedy_geodetic
 from helpers import (
     complete_graph,
     connected_graphs,
@@ -22,8 +18,8 @@ from helpers import (
 )
 
 
-def state_after_start(g, v):
-    return LocalState(n=g.n, members=1 << v, gains=[0] * g.n)
+def cover_after_start(g, v):
+    return Cover(interval_table(all_pairs_distances(g)), 1 << v)
 
 
 class TestFindStart:
@@ -46,43 +42,34 @@ class TestFindStart:
 
 
 class TestLargestLocalIncrease:
+    """Local's step: largest_increase on a cover grown from the start vertex.
+
+    The start vertex is already covered, so each gain leaves it out.
+    """
+
     def test_path_from_leaf(self):
-        g = path_graph(4)
-        state = state_after_start(g, 0)
-        u, gain = largest_local_increase(g, 0, state)
+        u, gain = largest_increase(cover_after_start(path_graph(4), 0))
         assert u == 3
-        assert gain == 0b1111
+        assert gain == 0b1110
 
     def test_triangle_breaks_tie_low(self):
-        g = complete_graph(3)
-        state = state_after_start(g, 0)
-        u, gain = largest_local_increase(g, 0, state)
+        u, gain = largest_increase(cover_after_start(complete_graph(3), 0))
         assert u == 1
-        assert gain == mask_of([0, 1])
+        assert gain == mask_of([1])
 
     def test_even_cycle_antipodal(self):
-        g = cycle_graph(6)
-        state = state_after_start(g, 0)
-        u, gain = largest_local_increase(g, 0, state)
+        u, gain = largest_increase(cover_after_start(cycle_graph(6), 0))
         assert u == 3
-        assert gain == full_mask(6)
-
-    def test_exhausted_candidates_raise(self):
-        g = Graph(2, [(0, 1)])
-        state = state_after_start(g, 0)
-        state.members = 0b11
-        with pytest.raises(AlgorithmError):
-            largest_local_increase(g, 0, state)
+        assert gain == full_mask(6) & ~1
 
     @settings(max_examples=40)
     @given(connected_graphs(min_n=2, max_n=8))
     def test_rows_match_interval_table(self, g):
         t = interval_table(all_pairs_distances(g))
         v = find_start(g)
-        state = state_after_start(g, v)
-        largest_local_increase(g, v, state)
-        # the first pass folds I(v, j) into the empty gain of every non-member
-        assert all(state.gains[j] == t[v][j] for j in range(g.n) if j != v)
+        cover = cover_after_start(g, v)
+        # the start vertex's row is the gain of every other vertex
+        assert all(cover.gains[j] == t[v][j] for j in range(g.n) if j != v)
 
 
 class TestLocallyGreedy:
