@@ -11,5 +11,8 @@ def trivial_bound(g: Graph) -> int:
 
 
 def diameter_bound(dist: np.ndarray) -> int:
-    """n - diam + 1: a diametral pair covers its path, the rest fill in."""
-    return len(dist) - int(dist.max()) + 1
+    """n - diam + 1: a diametral pair covers its path, the rest fill in.
+
+    Capped at n, which binds only on the one-vertex graph (diameter 0).
+    """
+    return min(len(dist), len(dist) - int(dist.max()) + 1)

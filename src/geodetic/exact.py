@@ -4,13 +4,14 @@ brute_force_geodetic is the reference: subsets in increasing cardinality,
 lexicographic within a cardinality, first geodetic subset wins.  It refuses
 graphs beyond a small size cap.
 
-exact_geodetic exploits two facts.  Degree-one and simplicial vertices are
-never interior to a shortest path, so they belong to every geodetic set and
-can be fixed up front.  Completing that forced core is then a search over
-candidate subsets in increasing total size, with a conservative potential
-bound: a branch is cut only when even the most optimistic completion (sum of
-the largest per-candidate gains plus full credit for the biggest residual
-pair interval on every future pair) cannot cover the remaining vertices.
+exact_geodetic exploits two facts.  The forced core (Instance.forced: the
+degree-one and simplicial vertices, never interior to a shortest path)
+belongs to every geodetic set and is fixed up front.  Completing that core
+is then a search over candidate subsets in increasing total size, with a
+conservative potential bound: a branch is cut only when even the most
+optimistic completion (sum of the largest per-candidate gains plus full
+credit for the biggest residual pair interval on every future pair) cannot
+cover the remaining vertices.
 Optional wall-clock and node budgets turn the search into an anytime method;
 on expiry the best known geodetic set is returned flagged non-optimal.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .bitset import full_mask, mask_of
 from .errors import AlgorithmError, ValidationError
-from .graph import Graph, is_simplicial
+from .graph import Graph
 from .intervals import Cover, Instance, is_geodetic
 from .result import GeodeticResult, make_result
 
@@ -48,15 +49,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def forced_vertices(g: Graph) -> int:
-    """Vertices no geodetic set can omit: degree <= 1 or simplicial."""
-    mask = 0
-    for v in range(g.n):
-        if g.degree(v) <= 1 or is_simplicial(g, v):
-            mask |= 1 << v
-    return mask
-
-
 def brute_force_geodetic(x: Graph | Instance) -> GeodeticResult:
     start = time.perf_counter()
     if x.n > BRUTE_FORCE_MAX_N:
@@ -75,10 +67,9 @@ def brute_force_geodetic(x: Graph | Instance) -> GeodeticResult:
 def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> GeodeticResult:
     start = time.perf_counter()
     inst = Instance.of(x)
-    g, table = inst.graph, inst.table
-    n = g.n
+    table, forced = inst.table, inst.forced
+    n = inst.n
     full = full_mask(n)
-    forced = forced_vertices(g)
     base = Cover(table, forced)
     if base.coverage == full:
         # forced vertices lie in every geodetic set, so this is the minimum

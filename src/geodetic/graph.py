@@ -3,6 +3,8 @@
 The on-disk format is one "u v" pair per line, 0-based ids, lines starting
 with '#' or '%' ignored.  The writer always emits u < v sorted
 lexicographically, so serialization is canonical and round-trips exactly.
+A Graph holds sorted neighbour tuples only; the forced core of simplicial
+vertices, read off the distances, lives on intervals.Instance.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class Graph:
     and inspection still work on arbitrary input.
     """
 
-    __slots__ = ("n", "m", "adj", "adj_masks")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -43,13 +45,6 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in neighbor_sets
         )
-        masks = []
-        for s in neighbor_sets:
-            mask = 0
-            for v in s:
-                mask |= 1 << v
-            masks.append(mask)
-        self.adj_masks: tuple[int, ...] = tuple(masks)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -78,15 +73,15 @@ class Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff a traversal from vertex 0 reaches all n vertices."""
-    seen = 1
+    seen = bytearray(g.n)
+    seen[0] = 1
     stack = [0]
     count = 1
     while stack:
         u = stack.pop()
         for v in g.adj[u]:
-            b = 1 << v
-            if not seen & b:
-                seen |= b
+            if not seen[v]:
+                seen[v] = 1
                 count += 1
                 stack.append(v)
     return count == g.n
@@ -95,20 +90,6 @@ def is_connected(g: Graph) -> bool:
 def require_connected(g: Graph) -> None:
     if not is_connected(g):
         raise ValidationError("graph is disconnected")
-
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff the neighborhood of v induces a clique.
-
-    Vertices of degree 0 or 1 count as simplicial (the empty and singleton
-    neighborhoods are cliques).
-    """
-    nbr = g.adj_masks[v]
-    for u in g.adj[v]:
-        # every other neighbor must be adjacent to u
-        if nbr & ~g.adj_masks[u] & ~(1 << u):
-            return False
-    return True
 
 
 def parse_edge_list(text: str | Iterable[str], one_based: bool = False,

@@ -6,14 +6,13 @@ exactly when d(i, k) + d(k, j) = d(i, j), which is how the table is built
 from the distance matrix.  Intervals are integer bitmasks in a plain square
 list of lists, read in place as table[i][j]; the two orientations of a pair
 share one int object.  An Instance bundles a connected graph with its
-distances and table so that several solvers can share one build.
+distances, table and forced core (the vertices inside no shortest path,
+which every geodetic set contains) so that several solvers share one build.
 
 A Cover is a vertex set grown one vertex at a time, with its closure and,
 for every vertex j, the union of I(s, j) over the members s.  Greedy, add-one,
 locally greedy and the exact search's forced core all grow their sets
-through it.  sssp_intervals builds one table row by breadth-first search
-instead; no solver calls it, it is the independent reference the table is
-checked against.
+through it.
 """
 
 from __future__ import annotations
@@ -23,9 +22,17 @@ from operator import or_
 
 import numpy as np
 
-from .bitset import full_mask, vertices_of
+from .bitset import full_mask, mask_of, vertices_of
 from .errors import ValidationError
 from .graph import Graph, require_connected
+
+# Largest interval table Instance.of will build, in estimated bytes.
+TABLE_MEMORY_CAP = 4 << 30
+
+
+def table_bytes(n: int) -> int:
+    """Estimated memory of an n-vertex table: list slots plus the int masks."""
+    return n * n * 8 + n * (n + 1) // 2 * (28 + 4 * -(-n // 30))
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -105,7 +112,7 @@ class Cover:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A connected graph with its distances and interval table.
+    """A connected graph with its distances, interval table and forced core.
 
     Every solver accepts a Graph or an Instance; building the Instance once
     and passing it to several solvers shares one distance and table build.
@@ -114,6 +121,7 @@ class Instance:
     graph: Graph
     dist: np.ndarray           # read-only hop distances, from all_pairs_distances
     table: list[list[int]]     # square interval masks, from interval_table
+    forced: int                # mask of the vertices inside no shortest path
 
     @property
     def n(self) -> int:
@@ -124,9 +132,20 @@ class Instance:
         """x itself when it is already an Instance, else a fresh build."""
         if isinstance(x, Instance):
             return x
+        if table_bytes(x.n) > TABLE_MEMORY_CAP:  # before any O(n^2) work
+            raise ValidationError(
+                f"interval table for n={x.n} needs about {table_bytes(x.n) / 2**30:.1f} GiB, "
+                f"over the {TABLE_MEMORY_CAP >> 30} GiB cap")
         require_connected(x)
         dist = all_pairs_distances(x)
-        return cls(x, dist, interval_table(dist))
+        # v is forced iff all deg * (deg - 1) ordered pairs of its neighbours
+        # are edges; (A @ A) * A counts them, exact in float32 as the cap
+        # keeps n below 4096, so every count stays under 2^24
+        adj = (dist == 1).astype(np.float32)
+        deg = adj.sum(axis=1)
+        linked = ((adj @ adj) * adj).sum(axis=1)
+        forced = mask_of(np.flatnonzero(linked == deg * (deg - 1)).tolist())
+        return cls(x, dist, interval_table(dist), forced)
 
 
 def pk_table(d: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -139,42 +158,3 @@ def pk_table(d: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
         sel = member[iu, ju]
         per_k.append(tuple(zip(iu[sel].tolist(), ju[sel].tolist())))
     return tuple(per_k)
-
-
-def sssp_intervals(g: Graph, v: int) -> list[int]:
-    """One interval-table row from a single source, no all-pairs matrix.
-
-    The reference the table is checked against; no solver calls it.
-
-    Runs a breadth-first pass from v, then accumulates shortest-path DAG
-    ancestors in order of increasing distance: the ancestor set of j is j
-    plus the union of ancestor sets of its predecessors.  Entry j is the
-    bitmask of I(v, j).
-    """
-    n = g.n
-    dist = [-1] * n
-    dist[v] = 0
-    frontier = [v]
-    order = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        nxt.sort()
-        order.extend(nxt)
-        frontier = nxt
-    if len(order) != n:
-        raise ValidationError("single-source pass did not reach every vertex")
-    anc = [0] * n
-    anc[v] = 1 << v
-    for j in order[1:]:
-        mask = 1 << j
-        target = dist[j] - 1
-        for p in g.adj[j]:
-            if dist[p] == target:
-                mask |= anc[p]
-        anc[j] = mask
-    return anc

@@ -7,8 +7,9 @@ single-vertex step greedy uses, until every vertex is covered.  Gains only
 ever grow, so nothing is recomputed from scratch.
 
 The walk starts from a vertex that must belong to every geodetic set when
-one exists: a degree-one vertex, else a simplicial one; failing both (for
-example on cycles) it falls back to a minimum-degree vertex.
+one exists: a degree-one vertex, else the lowest vertex of the forced core
+(Instance.forced, the simplicial vertices); failing both (for example on
+cycles) it falls back to a minimum-degree vertex.
 """
 
 from __future__ import annotations
@@ -17,20 +18,20 @@ import time
 
 from .bitset import full_mask
 from .errors import AlgorithmError
-from .graph import Graph, is_simplicial
+from .graph import Graph
 from .greedy import largest_increase
 from .intervals import Cover, Instance, is_geodetic
 from .result import GeodeticResult, make_result
 
 
-def find_start(g: Graph) -> int:
-    """Smallest-index degree-one vertex, else simplicial, else minimum degree."""
+def find_start(inst: Instance) -> int:
+    """Smallest-index degree-one vertex, else forced, else minimum degree."""
+    g = inst.graph
     for v in range(g.n):
         if g.degree(v) == 1:
             return v
-    for v in range(g.n):
-        if is_simplicial(g, v):
-            return v
+    if inst.forced:
+        return (inst.forced & -inst.forced).bit_length() - 1
     return min(range(g.n), key=lambda v: (g.degree(v), v))
 
 
@@ -39,11 +40,10 @@ def locally_greedy_geodetic(x: Graph | Instance) -> GeodeticResult:
     start = time.perf_counter()
     tag = "locally-greedy"
     inst = Instance.of(x)
-    g = inst.graph
-    if g.n == 1:
+    if inst.n == 1:
         return make_result(tag, 1, False, True, time.perf_counter() - start)
-    full = full_mask(g.n)
-    cover = Cover(inst.table, 1 << find_start(g))
+    full = full_mask(inst.n)
+    cover = Cover(inst.table, 1 << find_start(inst))
     while cover.coverage != full:
         u, _ = largest_increase(cover)
         if u is None:

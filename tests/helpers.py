@@ -1,10 +1,11 @@
 """Shared fixtures: tiny graph builders and independent oracles.
 
 The oracles deliberately avoid the library's own machinery.  Distances come
-from a plain BFS, intervals from literal enumeration of every shortest path,
-and the reference geodetic number from subset enumeration over those
-intervals.  Anything the package computes with distance arithmetic or
-bitmask folding is checked against these.
+from a plain BFS, intervals from literal enumeration of every shortest path
+or from one breadth-first pass per source (sssp_intervals), and the
+reference geodetic number from subset enumeration over those intervals.
+Anything the package computes with distance arithmetic or bitmask folding
+is checked against these.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 import geodetic.intervals
+from geodetic.errors import ValidationError
 from geodetic.graph import Graph
 
 
@@ -47,6 +49,43 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
+
+
+def sssp_intervals(g: Graph, v: int) -> list[int]:
+    """One interval-table row from a single source, no all-pairs matrix.
+
+    Runs a breadth-first pass from v, then accumulates shortest-path DAG
+    ancestors in order of increasing distance: the ancestor set of j is j
+    plus the union of ancestor sets of its predecessors.  Entry j is the
+    bitmask of I(v, j).
+    """
+    n = g.n
+    dist = [-1] * n
+    dist[v] = 0
+    frontier = [v]
+    order = [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        nxt.sort()
+        order.extend(nxt)
+        frontier = nxt
+    if len(order) != n:
+        raise ValidationError("single-source pass did not reach every vertex")
+    anc = [0] * n
+    anc[v] = 1 << v
+    for j in order[1:]:
+        mask = 1 << j
+        target = dist[j] - 1
+        for p in g.adj[j]:
+            if dist[p] == target:
+                mask |= anc[p]
+        anc[j] = mask
+    return anc
 
 
 def all_shortest_paths(g: Graph, i: int, j: int) -> list[tuple[int, ...]]:

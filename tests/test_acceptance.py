@@ -18,14 +18,9 @@ from geodetic.generate import GenSpec, benchmark_grid, edge_count_for_density, g
 from geodetic.graph import Graph
 from geodetic.greedy import greedy_geodetic
 from geodetic.ilp import build_model, export_ilp, render_lp
-from geodetic.intervals import (
-    all_pairs_distances,
-    interval_table,
-    is_geodetic,
-    sssp_intervals,
-)
+from geodetic.intervals import all_pairs_distances, interval_table, is_geodetic
 from geodetic.local import locally_greedy_geodetic
-from helpers import complete_graph, cycle_graph, path_graph, star_graph
+from helpers import complete_graph, cycle_graph, path_graph, sssp_intervals, star_graph
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:

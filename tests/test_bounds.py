@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from geodetic.bounds import diameter_bound, trivial_bound
 from geodetic.exact import exact_geodetic
 from geodetic.intervals import all_pairs_distances
+from geodetic.graph import Graph
 from helpers import complete_graph, connected_graphs, cycle_graph, path_graph
 
 
@@ -22,6 +23,11 @@ class TestBounds:
     def test_diameter_bound_cycle(self):
         dist = all_pairs_distances(cycle_graph(6))
         assert diameter_bound(dist) == 4
+
+    def test_diameter_bound_single_vertex(self):
+        # diameter 0: the bound must not exceed n = 1
+        dist = all_pairs_distances(Graph(1, []))
+        assert diameter_bound(dist) == 1 == trivial_bound(Graph(1, []))
 
     @settings(max_examples=50)
     @given(connected_graphs(min_n=2, max_n=8))

@@ -124,6 +124,15 @@ class TestSolve:
     def test_bad_budget_is_usage_error(self, c6_file, budget):
         assert main(["solve", c6_file, "-a", "exact", *budget]) == 1
 
+    def test_oversized_table_is_data_error(self, tmp_path, monkeypatch, capsys):
+        n = 6000
+        path = tmp_path / "c6000.txt"
+        path.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        calls = count_builds(monkeypatch)
+        assert main(["solve", str(path)]) == 2
+        assert calls == {"all_pairs_distances": 0, "interval_table": 0}
+        assert "cap" in capsys.readouterr().err
+
     def test_all_shares_one_build(self, c6_file, monkeypatch):
         calls = count_builds(monkeypatch)
         assert main(["solve", c6_file, "-a", "all"]) == 0

@@ -8,11 +8,10 @@ from geodetic.exact import (
     SearchLimits,
     brute_force_geodetic,
     exact_geodetic,
-    forced_vertices,
 )
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
-from geodetic.intervals import all_pairs_distances, interval_table, is_geodetic
+from geodetic.intervals import Instance, all_pairs_distances, interval_table, is_geodetic
 from helpers import (
     complete_graph,
     connected_graphs,
@@ -23,19 +22,23 @@ from helpers import (
 )
 
 
+def forced_of(g: Graph) -> int:
+    return Instance.of(g).forced
+
+
 class TestForcedVertices:
     def test_path_leaves(self):
-        assert forced_vertices(path_graph(4)) == mask_of([0, 3])
+        assert forced_of(path_graph(4)) == mask_of([0, 3])
 
     def test_cycle_has_none(self):
-        assert forced_vertices(cycle_graph(6)) == 0
+        assert forced_of(cycle_graph(6)) == 0
 
     def test_complete_graph_all(self):
-        assert forced_vertices(complete_graph(4)) == 0b1111
+        assert forced_of(complete_graph(4)) == 0b1111
 
     def test_star_leaves_and_center(self):
         # the center of a star is not simplicial once it has two leaves
-        assert forced_vertices(star_graph(3)) == mask_of([1, 2, 3])
+        assert forced_of(star_graph(3)) == mask_of([1, 2, 3])
 
 
 class TestBruteForce:
@@ -87,7 +90,7 @@ class TestExact:
     def test_forced_set_is_contained(self):
         g = generate(GenSpec("BA", 18, 40, seed=2))
         res = exact_geodetic(g)
-        forced = forced_vertices(g)
+        forced = forced_of(g)
         assert forced & mask_of(res.vertices) == forced
 
     def test_result_set_is_geodetic(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -5,11 +7,11 @@ from geodetic.errors import EdgeListParseError, ValidationError
 from geodetic.graph import (
     Graph,
     is_connected,
-    is_simplicial,
     parse_edge_list,
     require_connected,
     write_edge_list,
 )
+from geodetic.intervals import Instance
 from helpers import complete_graph, connected_graphs, cycle_graph, path_graph
 
 
@@ -19,7 +21,6 @@ class TestGraph:
         assert g.n == 3
         assert g.m == 2
         assert g.adj == ((1,), (0, 2), (1,))
-        assert g.adj_masks == (0b010, 0b101, 0b010)
 
     def test_duplicate_edges_collapse(self):
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
@@ -60,33 +61,52 @@ class TestConnectivity:
     def test_isolated_vertex(self):
         assert not is_connected(Graph(3, [(0, 1)]))
 
+    def test_large_cycle_memory_is_linear(self):
+        # a graph and its traversal cost O(n + m), not one n-bit int per vertex
+        n = 20000
+        tracemalloc.start()
+        try:
+            g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+            assert is_connected(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
+
+
+def simplicial(g: Graph, v: int) -> bool:
+    return bool(Instance.of(g).forced >> v & 1)
+
 
 class TestSimplicial:
+    """The forced core on Instance is exactly the simplicial vertices."""
+
     def test_path_endpoints(self):
         g = path_graph(4)
-        assert is_simplicial(g, 0)
-        assert is_simplicial(g, 3)
-        assert not is_simplicial(g, 1)
+        assert simplicial(g, 0)
+        assert simplicial(g, 3)
+        assert not simplicial(g, 1)
 
     def test_complete_graph_all_simplicial(self):
         g = complete_graph(4)
-        assert all(is_simplicial(g, v) for v in range(4))
+        assert all(simplicial(g, v) for v in range(4))
 
     def test_cycle_none_simplicial(self):
         g = cycle_graph(5)
-        assert not any(is_simplicial(g, v) for v in range(5))
+        assert not any(simplicial(g, v) for v in range(5))
 
     def test_isolated_vertex_simplicial(self):
         g = Graph(2, [(0, 1)])
-        assert is_simplicial(g, 0)
+        assert simplicial(g, 0)
 
     @given(connected_graphs(min_n=2, max_n=7))
     def test_matches_definition(self, g):
+        forced = Instance.of(g).forced
         for v in range(g.n):
             nbrs = g.adj[v]
             clique = all(b in g.adj[a] for i, a in enumerate(nbrs)
                          for b in nbrs[i + 1:])
-            assert is_simplicial(g, v) == clique
+            assert bool(forced >> v & 1) == clique
 
 
 class TestParse:

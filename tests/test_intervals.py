@@ -12,6 +12,7 @@ from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
 from geodetic.greedy import greedy_geodetic
 from geodetic.intervals import (
+    TABLE_MEMORY_CAP,
     Cover,
     Instance,
     all_pairs_distances,
@@ -19,17 +20,19 @@ from geodetic.intervals import (
     interval_table,
     is_geodetic,
     pk_table,
-    sssp_intervals,
+    table_bytes,
 )
 from geodetic.local import locally_greedy_geodetic
 from helpers import (
     bfs_distances,
     complete_graph,
+    count_builds,
     connected_graphs,
     cycle_graph,
     oracle_closure,
     oracle_interval,
     path_graph,
+    sssp_intervals,
 )
 
 
@@ -247,6 +250,30 @@ class TestInstance:
     def test_disconnected_rejected(self):
         with pytest.raises(ValidationError):
             Instance.of(Graph(4, [(0, 1), (2, 3)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=9))
+    def test_forced_is_what_no_other_set_covers(self, g):
+        # v is forced iff the closure of every other vertex misses it
+        everything = frozenset(range(g.n))
+        expect = mask_of(v for v in range(g.n)
+                         if oracle_closure(g, everything - {v}) != everything)
+        assert Instance.of(g).forced == expect
+
+    def test_table_estimate_brackets_the_cap(self):
+        # about 90 MB at n=1000; the 4 GiB cap falls between n=3500 and 4000,
+        # below the n=4096 up to which the forced core's float32 counts are exact
+        assert 80e6 < table_bytes(1000) < 100e6
+        assert table_bytes(3500) < TABLE_MEMORY_CAP < table_bytes(4000)
+
+    def test_oversized_table_rejected_before_any_work(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        n = 6000
+        for g in (cycle_graph(n), Graph(n, [])):
+            # the size check comes first, even before the connectivity check
+            with pytest.raises(ValidationError, match="cap"):
+                Instance.of(g)
+        assert calls == {"all_pairs_distances": 0, "interval_table": 0}
 
     @pytest.mark.parametrize("solve", [
         brute_force_geodetic, exact_geodetic, greedy_geodetic,

@@ -6,7 +6,8 @@ from geodetic.errors import ValidationError
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
 from geodetic.greedy import largest_increase
-from geodetic.intervals import Cover, all_pairs_distances, interval_table, is_geodetic
+from geodetic.intervals import (Cover, Instance, all_pairs_distances, interval_table,
+                                is_geodetic)
 from geodetic.local import find_start, locally_greedy_geodetic
 from helpers import (
     complete_graph,
@@ -24,21 +25,21 @@ def cover_after_start(g, v):
 
 class TestFindStart:
     def test_path_picks_leaf(self):
-        assert find_start(path_graph(4)) == 0
+        assert find_start(Instance.of(path_graph(4))) == 0
 
     def test_star_picks_first_leaf(self):
-        assert find_start(star_graph(4)) == 1
+        assert find_start(Instance.of(star_graph(4))) == 1
 
     def test_complete_picks_simplicial(self):
-        assert find_start(complete_graph(4)) == 0
+        assert find_start(Instance.of(complete_graph(4))) == 0
 
     def test_cycle_falls_back_to_min_degree(self):
-        assert find_start(cycle_graph(6)) == 0
+        assert find_start(Instance.of(cycle_graph(6))) == 0
 
     def test_prefers_degree_one_over_earlier_simplicial(self):
         # 0-1-2 triangle with a pendant 3 on vertex 2: 3 has degree one
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert find_start(g) == 3
+        assert find_start(Instance.of(g)) == 3
 
 
 class TestLargestLocalIncrease:
@@ -66,7 +67,7 @@ class TestLargestLocalIncrease:
     @given(connected_graphs(min_n=2, max_n=8))
     def test_rows_match_interval_table(self, g):
         t = interval_table(all_pairs_distances(g))
-        v = find_start(g)
+        v = find_start(Instance.of(g))
         cover = cover_after_start(g, v)
         # the start vertex's row is the gain of every other vertex
         assert all(cover.gains[j] == t[v][j] for j in range(g.n) if j != v)
