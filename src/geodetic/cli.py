@@ -22,7 +22,7 @@ from .generate import (FAMILIES, GenSpec, SCHEMES, benchmark_grid,
 from .graph import Graph, parse_edge_list, write_edge_list
 from .greedy import greedy_geodetic
 from .ilp import export_ilp
-from .intervals import Instance, all_pairs_distances, closure
+from .intervals import Instance, all_pairs_distances, closure, require_table_fits
 from .local import locally_greedy_geodetic
 
 ALGORITHMS = ("exact", "brute", "greedy", "greedy-addone", "locally-greedy",
@@ -146,6 +146,7 @@ def _solve_lines(g: Graph | Instance, algorithm: str,
         res = locally_greedy_geodetic(g)
         lines.append(fmt(res.algorithm, str(res.value), res.seconds, "upper bound"))
     if algorithm == "bounds":
+        require_table_fits(g.n)
         dist = all_pairs_distances(g)
         lines.append(f"{'trivial-bound':<16}{trivial_bound(g):>8}")
         lines.append(f"{'diameter-bound':<16}{diameter_bound(dist):>8}")

@@ -18,6 +18,7 @@ through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import or_
 
 import numpy as np
@@ -35,13 +36,29 @@ def table_bytes(n: int) -> int:
     return n * n * 8 + n * (n + 1) // 2 * (28 + 4 * -(-n // 30))
 
 
+def require_table_fits(n: int) -> None:
+    """Reject an n-vertex graph whose interval table would exceed the cap.
+
+    Called before any O(n^2) allocation, so an oversized input fails fast.
+    """
+    if table_bytes(n) > TABLE_MEMORY_CAP:
+        raise ValidationError(
+            f"interval table for n={n} needs about {table_bytes(n) / 2**30:.1f} GiB, "
+            f"over the {TABLE_MEMORY_CAP >> 30} GiB cap")
+
+
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Floyd-Warshall over hop counts, one vectorized relaxation per pivot.
 
-    Returns a read-only (n, n) int32 array of hop distances.
+    Returns a read-only (n, n) array of hop distances in the narrowest
+    unsigned dtype that holds 2n + 2: uint8 up to n = 126, uint16 beyond.
+    Unreached pairs hold the sentinel n + 1, and a relaxation adds two
+    entries, so the sum of two sentinels must not wrap.  Floyd-Warshall is
+    memory-bound, so the narrow dtype is what makes it fast; the interval
+    and P(k) builds, which add rows of it, get faster too.
     """
     n = g.n
-    d = np.full((n, n), n + 1, dtype=np.int32)  # n+1 acts as infinity
+    d = np.full((n, n), n + 1, dtype=np.min_scalar_type(2 * n + 2))
     np.fill_diagonal(d, 0)
     for u, v in g.edges():
         d[u, v] = d[v, u] = 1
@@ -60,14 +77,16 @@ def interval_table(d: np.ndarray) -> list[list[int]]:
     rows[i][j], so the lower half costs list slots, not new masks.
     """
     n = len(d)
+    row_bytes = np.dtype((np.void, -(-n // 8)))  # one packed mask as one item
     rows: list[list[int]] = []
     for i in range(n):
         di = d[i]
         # member[j - i, k] == (d(i,k) + d(k,j) == d(i,j)) for j >= i
         member = (di[None, :] + d[i:]) == di[i:, None]
         packed = np.packbits(member, axis=1, bitorder="little")
+        chunks = packed.view(row_bytes).ravel().tolist()
         rows.append([rows[j][i] for j in range(i)]
-                    + [int.from_bytes(p.tobytes(), "little") for p in packed])
+                    + list(map(int.from_bytes, chunks, repeat("little"))))
     return rows
 
 
@@ -132,10 +151,7 @@ class Instance:
         """x itself when it is already an Instance, else a fresh build."""
         if isinstance(x, Instance):
             return x
-        if table_bytes(x.n) > TABLE_MEMORY_CAP:  # before any O(n^2) work
-            raise ValidationError(
-                f"interval table for n={x.n} needs about {table_bytes(x.n) / 2**30:.1f} GiB, "
-                f"over the {TABLE_MEMORY_CAP >> 30} GiB cap")
+        require_table_fits(x.n)
         require_connected(x)
         dist = all_pairs_distances(x)
         # v is forced iff all deg * (deg - 1) ordered pairs of its neighbours
@@ -149,12 +165,16 @@ class Instance:
 
 
 def pk_table(d: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each vertex k, the pairs (i, j), i < j, whose interval contains k."""
+    """For each vertex k, the pairs (i, j), i < j, whose interval contains k.
+
+    Every P(k) holds the same (i, j) tuple objects, built once.
+    """
     n = len(d)
-    iu, ju = np.triu_indices(n, k=1)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)  # row-major order is lexicographic
+    iu, ju = np.nonzero(upper)
+    pairs = list(zip(iu.tolist(), ju.tolist()))
     per_k = []
     for k in range(n):
         member = (d[:, k, None] + d[k, None, :]) == d
-        sel = member[iu, ju]
-        per_k.append(tuple(zip(iu[sel].tolist(), ju[sel].tolist())))
+        per_k.append(tuple(map(pairs.__getitem__, np.flatnonzero(member[upper]).tolist())))
     return tuple(per_k)

@@ -1,4 +1,8 @@
-"""Shared fixtures: tiny graph builders and independent oracles.
+"""Shared fixtures: graph builders and independent oracles.
+
+Besides tiny graphs, the builders cover families whose geodetic number has
+a closed form (hypercubes, grids, complete bipartite graphs, the Petersen
+graph, random trees), built here without networkx.
 
 The oracles deliberately avoid the library's own machinery.  Distances come
 from a plain BFS, intervals from literal enumeration of every shortest path
@@ -11,6 +15,7 @@ is checked against these.
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 from collections import deque
 
@@ -36,6 +41,42 @@ def complete_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """Center 0 with the given number of leaves."""
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def hypercube_graph(d: int) -> Graph:
+    """Q_d: vertices are d-bit words, adjacent when they differ in one bit."""
+    n = 1 << d
+    return Graph(n, [(v, v | 1 << b) for v in range(n) for b in range(d)
+                     if not v >> b & 1])
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """P_rows x P_cols, vertex r * cols + c."""
+    return Graph(rows * cols,
+                 [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    """K_{a,b} with parts 0..a-1 and a..a+b-1."""
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def petersen_graph() -> Graph:
+    """Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i + 5."""
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)])
+
+
+def random_tree(n: int, seed: int) -> Graph:
+    """Random recursive tree: vertex v hangs off a uniform earlier vertex."""
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def leaf_count(g: Graph) -> int:
+    return sum(g.degree(v) == 1 for v in range(g.n))
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

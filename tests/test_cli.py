@@ -133,6 +133,15 @@ class TestSolve:
         assert calls == {"all_pairs_distances": 0, "interval_table": 0}
         assert "cap" in capsys.readouterr().err
 
+    def test_oversized_bounds_is_data_error(self, tmp_path, monkeypatch, capsys):
+        n = 6000
+        path = tmp_path / "c6000.txt"
+        path.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        calls = count_builds(monkeypatch)
+        assert main(["solve", str(path), "-a", "bounds"]) == 2
+        assert calls["all_pairs_distances"] == 0
+        assert "cap" in capsys.readouterr().err
+
     def test_all_shares_one_build(self, c6_file, monkeypatch):
         calls = count_builds(monkeypatch)
         assert main(["solve", c6_file, "-a", "all"]) == 0

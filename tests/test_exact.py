@@ -13,11 +13,17 @@ from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
 from geodetic.intervals import Instance, all_pairs_distances, interval_table, is_geodetic
 from helpers import (
+    complete_bipartite_graph,
     complete_graph,
     connected_graphs,
     cycle_graph,
+    grid_graph,
+    hypercube_graph,
+    leaf_count,
     oracle_geodetic_number,
     path_graph,
+    petersen_graph,
+    random_tree,
     star_graph,
 )
 
@@ -114,6 +120,53 @@ class TestExact:
     def test_disconnected_rejected(self):
         with pytest.raises(ValidationError):
             exact_geodetic(Graph(4, [(0, 1), (2, 3)]))
+
+
+# Each family's builder and the closed form of its geodetic number, a function
+# of the builder's arguments (Chartrand, Harary & Zhang, Networks 39 (2002)).
+KNOWN_FAMILIES = {
+    "hypercube": (hypercube_graph, lambda d: 2),
+    "grid": (grid_graph, lambda rows, cols: 2),
+    "bipartite": (complete_bipartite_graph, lambda a, b: min(a, 4)),  # 2 <= a <= b
+    "cycle": (cycle_graph, lambda n: 2 if n % 2 == 0 else 3),
+    "petersen": (petersen_graph, lambda: 4),
+    "tree": (random_tree, lambda n, seed: leaf_count(random_tree(n, seed))),
+}
+
+
+def known_case(family: str, *args: int) -> tuple[Graph, int]:
+    build, value = KNOWN_FAMILIES[family]
+    return build(*args), value(*args)
+
+
+class TestKnownFamilies:
+    @pytest.mark.parametrize("family,args", [
+        *[("hypercube", (d,)) for d in (1, 2, 3, 4)],
+        *[("grid", dims) for dims in ((1, 2), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4))],
+        *[("bipartite", ab) for ab in ((2, 2), (2, 6), (3, 3), (3, 7), (4, 4), (4, 7),
+                                       (5, 5), (5, 7), (6, 6))],
+        *[("cycle", (n,)) for n in range(3, 13)],
+        ("petersen", ()),
+        *[("tree", (n, seed)) for n in (2, 5, 8, 12) for seed in range(3)],
+    ], ids=str)
+    def test_closed_form_matches_brute_force(self, family, args):
+        g, expect = known_case(family, *args)
+        assert brute_force_geodetic(g).value == expect
+
+    @pytest.mark.parametrize("family,args", [
+        ("hypercube", (6,)),
+        ("grid", (12, 12)),
+        ("bipartite", (5, 30)),
+        ("bipartite", (3, 40)),
+        ("petersen", ()),
+        ("cycle", (200,)),  # n = 200 and 201 take the uint16 distance path
+        ("cycle", (201,)),
+        ("tree", (200, 0)),
+    ], ids=str)
+    def test_exact_proves_closed_form(self, family, args):
+        g, expect = known_case(family, *args)
+        res = exact_geodetic(g)
+        assert (res.value, res.optimal, res.verified) == (expect, True, True)
 
 
 class TestSearchLimits:

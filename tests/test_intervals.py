@@ -62,6 +62,23 @@ class TestDistances:
         with pytest.raises(ValidationError):
             all_pairs_distances(Graph(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_disconnected_rejected_at_dtype_boundary(self, n):
+        # two paths; here two n + 1 sentinels overflow uint8, and the sum
+        # wraps unless the dtype was sized for 2n + 2
+        with pytest.raises(ValidationError):
+            all_pairs_distances(Graph(n, [(i, i + 1) for i in range(n - 1) if i != n // 2]))
+
+    @pytest.mark.parametrize("build", [path_graph, cycle_graph])
+    @pytest.mark.parametrize("n", [126, 127, 128, 300])
+    def test_matches_bfs_across_dtype_boundary(self, build, n):
+        g = build(n)
+        assert all_pairs_distances(g).tolist() == [bfs_distances(g, v) for v in range(n)]
+
+    def test_narrowest_dtype_that_holds_two_sentinels(self):
+        assert all_pairs_distances(path_graph(126)).dtype == np.uint8
+        assert all_pairs_distances(path_graph(127)).dtype == np.uint16
+
     def test_matrix_read_only(self):
         d = all_pairs_distances(path_graph(3))
         with pytest.raises(ValueError):
@@ -102,6 +119,16 @@ class TestIntervalTable:
                 assert t[i][j] is t[j][i]
                 assert set(vertices_of(t[i][j])) == oracle_interval(g, i, j)
                 assert set(vertices_of(t[j][i])) == oracle_interval(g, j, i)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 64, 65])
+    def test_matches_oracle_at_packed_widths(self, n):
+        # each mask packs into ceil(n / 8) bytes; cover a partial, a full and
+        # one spilled byte, and a multiple of the 8-byte word
+        for g in (cycle_graph(n), generate(GenSpec("BA", n, 2 * n, seed=n))):
+            t = interval_table(all_pairs_distances(g))
+            for i in range(n):
+                for j in range(n):
+                    assert set(vertices_of(t[i][j])) == oracle_interval(g, i, j)
 
     @settings(max_examples=60)
     @given(connected_graphs(max_n=8))
@@ -188,6 +215,11 @@ class TestPkTable:
     def test_path_middle_vertex(self):
         pk = pk_table(all_pairs_distances(path_graph(3)))
         assert pk[1] == ((0, 1), (0, 2), (1, 2))
+
+    def test_pairs_shared_across_vertices(self):
+        # (0, 2) spans the path, so it is in every P(k), as one tuple object
+        pk = pk_table(all_pairs_distances(path_graph(3)))
+        assert pk[0][1] is pk[1][1] is pk[2][0] == (0, 2)
 
     def test_triangle_vertex_zero(self):
         pk = pk_table(all_pairs_distances(complete_graph(3)))
