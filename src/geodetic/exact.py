@@ -12,8 +12,10 @@ conservative potential bound: a branch is cut only when even the most
 optimistic completion (sum of the largest per-candidate gains plus full
 credit for the biggest residual pair interval on every future pair) cannot
 cover the remaining vertices.
-Optional wall-clock and node budgets turn the search into an anytime method;
-on expiry the best known geodetic set is returned flagged non-optimal.
+Optional wall-clock and node budgets stop the search early.  On expiry the
+result is the forced core plus every vertex that core leaves uncovered,
+flagged non-optimal: a valid geodetic set, but often the whole vertex set,
+far above what the greedy heuristics find on the same graph.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import time
 from dataclasses import dataclass
 
 from .bitset import full_mask, mask_of
-from .errors import AlgorithmError, ValidationError
+from .errors import ValidationError
 from .graph import Graph
 from .intervals import Cover, Instance, is_geodetic
-from .result import GeodeticResult, make_result
+from .result import GeodeticResult, finish
 
 BRUTE_FORCE_MAX_N = 25
 
@@ -54,14 +56,14 @@ def brute_force_geodetic(x: Graph | Instance) -> GeodeticResult:
     if x.n > BRUTE_FORCE_MAX_N:
         raise ValueError(
             f"brute force capped at n={BRUTE_FORCE_MAX_N}, got n={x.n}")
-    table = Instance.of(x).table
-    for size in range(1, x.n + 1):
+    inst = Instance.of(x)
+    for size in range(1, x.n):
         for combo in itertools.combinations(range(x.n), size):
             members = mask_of(combo)
-            if is_geodetic(table, members):
-                return make_result("brute-force", members, True, True,
-                                   time.perf_counter() - start)
-    raise AlgorithmError("no geodetic subset found")  # unreachable: V qualifies
+            if is_geodetic(inst.table, members):
+                return finish("brute-force", inst, members, True, start)
+    # every smaller size was refuted, so only the whole vertex set is left
+    return finish("brute-force", inst, full_mask(x.n), True, start)
 
 
 def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> GeodeticResult:
@@ -73,8 +75,7 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
     base = Cover(table, forced)
     if base.coverage == full:
         # forced vertices lie in every geodetic set, so this is the minimum
-        return make_result("exact", forced, True, True,
-                           time.perf_counter() - start)
+        return finish("exact", inst, forced, True, start)
 
     deadline = None
     node_cap = None
@@ -170,27 +171,14 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
                 return found | (1 << i)
         return None
 
-    # always-valid fallback: forced core plus everything it fails to cover
-    incumbent = forced | (full & ~base.coverage)
-    budget_hit = False
-    chosen: int | None = None
     try:
-        for total in range(max(forced.bit_count() + 1, 2), n + 1):
+        for total in range(max(forced.bit_count() + 1, 2), n):
             chosen = search(candidates, list(base.gains), base.coverage,
                             total - forced.bit_count())
             if chosen is not None:
-                break
+                return finish("exact", inst, forced | chosen, True, start)
     except _BudgetExhausted:
-        budget_hit = True
-    if chosen is not None:
-        members = forced | chosen
-        if not is_geodetic(table, members):
-            raise AlgorithmError("exact search returned a non-geodetic set")
-        return make_result("exact", members, True, True,
-                           time.perf_counter() - start)
-    if not budget_hit:
-        raise AlgorithmError("exact search exhausted all sizes")  # unreachable
-    if not is_geodetic(table, incumbent):
-        raise AlgorithmError("fallback set failed the geodetic check")
-    return make_result("exact", incumbent, False, True,
-                       time.perf_counter() - start)
+        # always-valid fallback: forced core plus everything it fails to cover
+        return finish("exact", inst, forced | (full & ~base.coverage), False, start)
+    # every smaller size was refuted, so only the whole vertex set is left
+    return finish("exact", inst, full, True, start)

@@ -176,6 +176,13 @@ class TestVerify:
     def test_out_of_range_vertex(self, p4_file):
         assert main(["verify", p4_file, "0", "9"]) == 1
 
+    @pytest.mark.parametrize("typed", ["0", "4"])
+    def test_one_based_out_of_range_reports_typed_id(self, tmp_path, capsys, typed):
+        path = tmp_path / "triangle.txt"
+        path.write_text("1 2\n2 3\n1 3\n")
+        assert main(["verify", str(path), "--one-based", "1", typed]) == 1
+        assert f"vertex {typed} out of range 1..3 for n=3" in capsys.readouterr().err
+
 
 class TestExportIlp:
     def test_default_output_path(self, tmp_path, capsys):

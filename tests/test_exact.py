@@ -77,6 +77,16 @@ class TestBruteForce:
         assert brute_force_geodetic(g).value == oracle_geodetic_number(g)
 
 
+@pytest.mark.parametrize("solve", [exact_geodetic, brute_force_geodetic])
+@pytest.mark.parametrize("g,expect", [
+    (Graph(1, []), (0,)),
+    (Graph(2, [(0, 1)]), (0, 1)),
+])
+def test_tiny_graphs_need_every_vertex(solve, g, expect):
+    res = solve(g)
+    assert (res.vertices, res.optimal, res.verified) == (expect, True, True)
+
+
 class TestExact:
     @pytest.mark.parametrize("g,expect", [
         (path_graph(2), 2),
