@@ -9,6 +9,21 @@ single vertex when its gain beats half the pair gain, otherwise the pair.
 With add_one set, pair additions are disabled after the first round so the
 set grows one vertex at a time.
 
+Pair scoring is exact but pruned by a per-pair stale bound.  With U the
+uncovered vertices and s_i = |gains[i] & U|, a pair scores
+|U & (I(i, j) | gains[i] | gains[j])| <= s_i + s_j + |I(i, j) & U|.
+Coverage only grows, so U only shrinks and |I(i, j) & U| can only fall:
+the count last measured for the pair (its stale entry, |I(i, j)| before
+any measurement) is never below the current one, and the sum with it in
+place of the current count is an admissible bound.  A round computes every
+bound in numpy, scores the pair with the largest bound, and then scores in
+row-major order every pair whose bound reaches that score (or 1), writing
+each scored pair's fresh count back as its stale entry.  Every pair that
+could tie or beat the best score is among those scored, they are visited
+in the same order a full scan visits them, and only a strictly larger
+count replaces the best, so the lexicographically first best pair wins,
+exactly as when every pair is scored.
+
 Seeding: every vertex of degree <= 1 belongs to every geodetic set, so the
 set starts from all of them.  On graphs without such vertices the first
 addition is necessarily a pair, because single-vertex gains are unions over
@@ -18,10 +33,18 @@ the current (empty) set.
 from __future__ import annotations
 
 import time
+from array import array
 
+import numpy as np
+
+from .bitset import full_mask, vertices_of
 from .graph import Graph
 from .intervals import Cover, Instance
 from .result import GeodeticResult, finish
+
+# Stale entry of a pair no scan may pick; with single counts of at most n
+# each added, its bound stays negative for every n the table cap admits.
+NO_PAIR = np.iinfo(np.int16).min
 
 
 def leaves(g: Graph) -> int:
@@ -56,31 +79,100 @@ def largest_increase(cover: Cover) -> tuple[int | None, int]:
     return best_v, best_gain
 
 
-def largest_increase_pair(cover: Cover) -> tuple[int | None, int | None, int]:
+def pair_bounds(cover: Cover) -> np.ndarray:
+    """Fresh stale matrix: |I(i, j)| for candidate pairs i < j, NO_PAIR elsewhere.
+
+    The lower triangle, the diagonal and every member's row and column hold
+    NO_PAIR, so their bounds stay negative and no scan ever picks them.
+    """
+    table = cover.table
+    n = len(table)
+    stale = np.full((n, n), NO_PAIR, dtype=np.int16)
+    for i, row in enumerate(table):
+        stale[i, i + 1:] = np.fromiter(map(int.bit_count, row[i + 1:]),
+                                       dtype=np.int16, count=n - i - 1)
+    for v in vertices_of(cover.members):
+        exclude(stale, v)
+    return stale
+
+
+def exclude(stale: np.ndarray, v: int) -> None:
+    """Drop every pair that contains v, now a member, from later scans."""
+    stale[v] = NO_PAIR
+    stale[:, v] = NO_PAIR
+
+
+def largest_increase_pair(cover: Cover, stale: np.ndarray | None = None
+                          ) -> tuple[int | None, int | None, int]:
     """Best pair: uncovered part of the pair interval plus both single gains.
 
-    Returns (None, None, 0) when fewer than two candidates remain or no pair
-    adds coverage.
+    Ties go to the lexicographically first pair.  stale is the matrix from
+    pair_bounds, kept across rounds with every member excluded; this call
+    tightens the entries of the pairs it scores.  Without it the bounds are
+    built afresh.  Returns (None, None, 0) when fewer than two candidates
+    remain or no pair adds coverage.
     """
-    members = cover.members
-    candidates = [v for v in range(len(cover.gains)) if not (members >> v) & 1]
-    if len(candidates) < 2:
-        return None, None, 0
+    table = cover.table
+    n = len(table)
+    if cover.coverage == full_mask(n):
+        return None, None, 0  # stale entries would still admit every pair
+    if stale is None:
+        stale = pair_bounds(cover)
     uncovered = ~cover.coverage
     gains = [union & uncovered for union in cover.gains]
-    table = cover.table
+    counts = list(map(int.bit_count, gains))
+    single = np.array(counts, dtype=np.int16)
+    bound = stale + single[:, None]
+    bound += single
+    top = int(bound.argmax())
+    if bound.flat[top] < 1:
+        return None, None, 0
+    i, j = divmod(top, n)
+    floor = max(((table[i][j] & uncovered) | gains[i] | gains[j]).bit_count(), 1)
+    picked = np.flatnonzero(bound >= floor)
+    del bound  # up to n^2 entries: free them before the scan
+    fresh = array("h")
     best: tuple[int | None, int | None, int] = (None, None, 0)
     best_count = 0
-    for pos, i in enumerate(candidates):
-        row = table[i]
-        gain_i = gains[i]
-        for j in candidates[pos + 1:]:
-            mask = (row[j] & uncovered) | gain_i | gains[j]
+    for p in memoryview(picked):  # Python ints without copying the indices
+        i, j = divmod(p, n)
+        part = table[i][j] & uncovered
+        count = part.bit_count()
+        fresh.append(count)
+        if count + counts[i] + counts[j] > best_count:
+            mask = part | gains[i] | gains[j]
             count = mask.bit_count()
             if count > best_count:
                 best_count = count
                 best = (i, j, mask)
+    stale.flat[picked] = np.frombuffer(fresh, dtype=np.int16)
     return best
+
+
+def greedy_cover(inst: Instance, add_one: bool = False) -> int:
+    """Run the covering loop to completion and return the member mask."""
+    cover = Cover(inst.table, leaves(inst.graph))
+    stale = pair_bounds(cover)
+
+    def take(v: int) -> None:
+        cover.add(v)
+        exclude(stale, v)
+
+    ell, gain_single = largest_increase(cover)
+    pk, ph, gain_pair = largest_increase_pair(cover, stale)
+    while gain_single.bit_count() + gain_pair.bit_count() > 0:
+        # single wins when its gain exceeds half the pair gain
+        if 2 * gain_single.bit_count() > gain_pair.bit_count():
+            take(ell)
+        else:
+            take(pk)
+            take(ph)
+        ell, gain_single = largest_increase(cover)
+        if add_one:
+            gain_pair = 0
+        else:
+            pk, ph, gain_pair = largest_increase_pair(cover, stale)
+    return cover.members
 
 
 def greedy_geodetic(x: Graph | Instance, add_one: bool = False) -> GeodeticResult:
@@ -92,19 +184,4 @@ def greedy_geodetic(x: Graph | Instance, add_one: bool = False) -> GeodeticResul
     start = time.perf_counter()
     tag = "greedy-addone" if add_one else "greedy"
     inst = Instance.of(x)
-    cover = Cover(inst.table, leaves(inst.graph))
-    ell, gain_single = largest_increase(cover)
-    pk, ph, gain_pair = largest_increase_pair(cover)
-    while gain_single.bit_count() + gain_pair.bit_count() > 0:
-        # single wins when its gain exceeds half the pair gain
-        if 2 * gain_single.bit_count() > gain_pair.bit_count():
-            cover.add(ell)
-        else:
-            cover.add(pk)
-            cover.add(ph)
-        ell, gain_single = largest_increase(cover)
-        if add_one:
-            gain_pair = 0
-        else:
-            pk, ph, gain_pair = largest_increase_pair(cover)
-    return finish(tag, inst, cover.members, False, start)
+    return finish(tag, inst, greedy_cover(inst, add_one), False, start)

@@ -211,3 +211,30 @@ def count_builds(monkeypatch) -> dict[str, int]:
             if mod_name.startswith("geodetic") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def exhaustive_pair(cover) -> tuple[int | None, int | None, int]:
+    """Reference pair step: score every candidate pair, first best pair wins.
+
+    The same contract as geodetic.greedy.largest_increase_pair, with no
+    bounds and no pruning.
+    """
+    members = cover.members
+    candidates = [v for v in range(len(cover.gains)) if not (members >> v) & 1]
+    if len(candidates) < 2:
+        return None, None, 0
+    uncovered = ~cover.coverage
+    gains = [union & uncovered for union in cover.gains]
+    table = cover.table
+    best: tuple[int | None, int | None, int] = (None, None, 0)
+    best_count = 0
+    for pos, i in enumerate(candidates):
+        row = table[i]
+        gain_i = gains[i]
+        for j in candidates[pos + 1:]:
+            mask = (row[j] & uncovered) | gain_i | gains[j]
+            count = mask.bit_count()
+            if count > best_count:
+                best_count = count
+                best = (i, j, mask)
+    return best

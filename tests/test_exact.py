@@ -9,7 +9,8 @@ from geodetic.exact import (
     brute_force_geodetic,
     exact_geodetic,
 )
-from geodetic.generate import GenSpec, generate
+from geodetic.generate import GenSpec, edge_count_for_density, generate
+from geodetic.greedy import greedy_geodetic
 from geodetic.graph import Graph
 from geodetic.intervals import Instance, all_pairs_distances, interval_table, is_geodetic
 from helpers import (
@@ -209,6 +210,16 @@ class TestSearchLimits:
         res = exact_geodetic(g, SearchLimits(time_budget=60.0, node_budget=10**9))
         assert res.optimal
         assert res.value == 2
+
+    @pytest.mark.parametrize("family", ["ER", "WS", "BA"])
+    def test_exhausted_budget_is_never_worse_than_greedy(self, family):
+        inst = Instance.of(generate(GenSpec(family, 60, edge_count_for_density(60, 0.1),
+                                            seed=1)))
+        assert inst.forced == 0  # so the forced-core fallback alone is all 60
+        res = exact_geodetic(inst, SearchLimits(node_budget=2000))
+        assert not res.optimal
+        assert res.value <= greedy_geodetic(inst).value < 60
+        assert is_geodetic(inst.table, mask_of(res.vertices))
 
     def test_forced_shortcut_ignores_budget(self):
         # a path is decided by its endpoints before any search node opens

@@ -1,21 +1,38 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodetic.bitset import full_mask, mask_of
 from geodetic.errors import ValidationError
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
 from geodetic.greedy import (
+    NO_PAIR,
+    exclude,
+    greedy_cover,
     greedy_geodetic,
     largest_increase,
     largest_increase_pair,
     leaves,
+    pair_bounds,
 )
-from geodetic.intervals import Cover, all_pairs_distances, closure, interval_table, is_geodetic
+from geodetic.intervals import (
+    Cover,
+    Instance,
+    all_pairs_distances,
+    closure,
+    interval_table,
+    is_geodetic,
+    require_table_fits,
+)
 from helpers import (
     complete_graph,
     connected_graphs,
     cycle_graph,
+    exhaustive_pair,
     oracle_closure,
     path_graph,
 )
@@ -153,3 +170,100 @@ class TestGreedyGeodetic:
             for add_one in (False, True):
                 res = greedy_geodetic(g, add_one=add_one)
                 assert is_geodetic(t, mask_of(res.vertices))
+
+
+@st.composite
+def graphs_with_and_without_leaves(draw) -> Graph:
+    """A connected graph, or the same graph closed into a Hamiltonian cycle
+    so that no vertex has degree one."""
+    g = draw(connected_graphs(min_n=3, max_n=40))
+    if draw(st.booleans()):
+        return g
+    ring = [(v, (v + 1) % g.n) for v in range(g.n)]
+    return Graph(g.n, sorted(set(g.edges()) | {(min(e), max(e)) for e in ring}))
+
+
+def oracle_cover(inst: Instance, add_one: bool = False) -> int:
+    """greedy_cover with every pair step taken by the exhaustive scan."""
+    with mock.patch("geodetic.greedy.largest_increase_pair",
+                    lambda cover, stale=None: exhaustive_pair(cover)):
+        return greedy_cover(inst, add_one)
+
+
+class TestPrunedPairScan:
+    """The bound-pruned pair step against the exhaustive scan it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_and_without_leaves())
+    def test_every_round_matches_the_exhaustive_scan(self, g):
+        pruned = largest_increase_pair
+        steps = []
+
+        def checked(cover, stale=None):
+            want = exhaustive_pair(cover)
+            assert pruned(cover) == want  # bounds built afresh
+            got = pruned(cover, stale)    # bounds carried across rounds
+            assert got == want
+            steps.append(got)
+            return got
+
+        with mock.patch("geodetic.greedy.largest_increase_pair", checked):
+            members = greedy_cover(Instance.of(g))
+        assert steps[-1] == (None, None, 0)
+        assert is_geodetic(interval_table(all_pairs_distances(g)), members)
+
+    @pytest.mark.parametrize("family", ["ER", "WS", "BA"])
+    def test_whole_set_matches_the_exhaustive_loop_at_n200(self, family):
+        inst = Instance.of(generate(GenSpec(family, 200, 800, seed=0)))
+        assert greedy_cover(inst) == oracle_cover(inst)
+        assert greedy_cover(inst, add_one=True) == oracle_cover(inst, add_one=True)
+
+    def test_stale_bounds_start_at_the_pristine_intervals(self):
+        cover = seeded_cover(path_graph(5))  # members 0 and 4
+        stale = pair_bounds(cover)
+        assert stale.dtype == np.int16
+        assert stale[1, 3] == cover.table[1][3].bit_count() == 3
+        assert stale[3, 1] == stale[2, 2] == NO_PAIR  # lower triangle, diagonal
+        assert (stale[0] == NO_PAIR).all() and (stale[:, 4] == NO_PAIR).all()
+
+    def test_scan_tightens_the_pairs_it_scores(self):
+        cover = seeded_cover(cycle_graph(7))
+        stale = pair_bounds(cover)
+        for v in (0, 3):  # covers 0..3, leaves 4, 5 and 6
+            cover.add(v)
+            exclude(stale, v)
+        before = stale.copy()
+        assert largest_increase_pair(cover, stale) == exhaustive_pair(cover)
+        uncovered = ~cover.coverage
+        changed = list(zip(*np.nonzero(stale != before)))
+        assert changed
+        for i, j in changed:
+            assert stale[i, j] == (cover.table[i][j] & uncovered).bit_count()
+        assert (stale <= before).all()
+
+
+class TestInt16Headroom:
+    def test_bounds_fit_int16_for_every_admitted_n(self):
+        low, high = 1, 1 << 16  # largest n the table cap admits lies between
+        require_table_fits(low)
+        with pytest.raises(ValidationError):
+            require_table_fits(high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            try:
+                require_table_fits(mid)
+                low = mid
+            except ValidationError:
+                high = mid
+        n = low
+        limit = np.iinfo(np.int16)
+        # a candidate's bound is a stale interval count plus two single
+        # counts, each at most n; an excluded pair adds two counts to NO_PAIR
+        assert 3 * n <= limit.max
+        assert limit.min <= NO_PAIR and NO_PAIR + 2 * n < 0
+        stale = np.array([NO_PAIR, n], dtype=np.int16)
+        single = np.array([n, n], dtype=np.int16)
+        bound = stale + single
+        bound += single
+        assert bound.dtype == np.int16
+        assert bound.tolist() == [NO_PAIR + 2 * n, 3 * n]
