@@ -27,6 +27,14 @@ from .local import locally_greedy_geodetic
 
 ALGORITHMS = ("exact", "brute", "greedy", "greedy-addone", "locally-greedy",
               "bounds", "all")
+ALL_SOLVERS = ("exact", "greedy", "greedy-addone", "locally-greedy")
+SOLVERS = {
+    "exact": exact_geodetic,
+    "brute": lambda g, limits: brute_force_geodetic(g),
+    "greedy": lambda g, limits: greedy_geodetic(g),
+    "greedy-addone": lambda g, limits: greedy_geodetic(g, add_one=True),
+    "locally-greedy": lambda g, limits: locally_greedy_geodetic(g),
+}
 
 
 class UsageError(click.UsageError):
@@ -111,45 +119,26 @@ def _search_limits(time_budget: float | None,
 def _solve_lines(g: Graph | Instance, algorithm: str,
                  limits: SearchLimits | None) -> list[str]:
     lines = []
-    if algorithm == "all":
-        g = Instance.of(g)  # one shared build, outside every solver's clock
-
-    def fmt(name: str, value: str, seconds: float, note: str) -> str:
-        return f"{name:<16}{value:>8}  {seconds:10.6f}s  {note}"
-
-    run_exact = algorithm in ("exact", "all")
-    run_brute = algorithm == "brute"
-    run_greedy = algorithm in ("greedy", "all")
-    run_addone = algorithm in ("greedy-addone", "all")
-    run_local = algorithm in ("locally-greedy", "all")
-    if run_brute:
-        if g.n > BRUTE_FORCE_MAX_N:
-            raise UsageError(
-                f"brute force is capped at n={BRUTE_FORCE_MAX_N} (got n={g.n}); "
-                "use the exact algorithm instead")
-        res = brute_force_geodetic(g)
-        lines.append(fmt(res.algorithm, str(res.value), res.seconds, "optimal"))
-    if run_exact:
-        res = exact_geodetic(g, limits)
-        if res.optimal:
-            lines.append(fmt(res.algorithm, str(res.value), res.seconds, "optimal"))
-        else:
-            lines.append(fmt(res.algorithm, f"<={res.value}", res.seconds,
-                             "budget exhausted, upper bound"))
-    if run_greedy:
-        res = greedy_geodetic(g)
-        lines.append(fmt(res.algorithm, str(res.value), res.seconds, "upper bound"))
-    if run_addone:
-        res = greedy_geodetic(g, add_one=True)
-        lines.append(fmt(res.algorithm, str(res.value), res.seconds, "upper bound"))
-    if run_local:
-        res = locally_greedy_geodetic(g)
-        lines.append(fmt(res.algorithm, str(res.value), res.seconds, "upper bound"))
     if algorithm == "bounds":
         require_table_fits(g.n)
         dist = all_pairs_distances(g)
         lines.append(f"{'trivial-bound':<16}{trivial_bound(g):>8}")
         lines.append(f"{'diameter-bound':<16}{diameter_bound(dist):>8}")
+        return lines
+    if algorithm == "all":
+        g = Instance.of(g)  # one shared build, outside every solver's clock
+    if algorithm == "brute" and g.n > BRUTE_FORCE_MAX_N:
+        raise UsageError(
+            f"brute force is capped at n={BRUTE_FORCE_MAX_N} (got n={g.n}); "
+            "use the exact algorithm instead")
+    for name in ALL_SOLVERS if algorithm == "all" else (algorithm,):
+        res = SOLVERS[name](g, limits)
+        value, note = str(res.value), "upper bound"
+        if res.optimal:
+            note = "optimal"
+        elif name == "exact":
+            value, note = f"<={res.value}", "budget exhausted, upper bound"
+        lines.append(f"{res.algorithm:<16}{value:>8}  {res.seconds:10.6f}s  {note}")
     return lines
 
 

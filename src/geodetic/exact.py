@@ -8,10 +8,13 @@ exact_geodetic exploits two facts.  The forced core (Instance.forced: the
 degree-one and simplicial vertices, never interior to a shortest path)
 belongs to every geodetic set and is fixed up front.  Completing that core
 is then a search over candidate subsets in increasing total size, with a
-conservative potential bound: a branch is cut only when even the most
-optimistic completion (sum of the largest per-candidate gains plus full
-credit for the biggest residual pair interval on every future pair) cannot
-cover the remaining vertices.
+conservative potential bound checked before every branch: candidates are
+sorted by gain, and the search stops trying first picks at position pos
+once even the most optimistic completion from there (the sum of the
+largest gains at pos and beyond plus full credit for the biggest residual
+pair interval on every future pair) cannot cover the remaining vertices.
+The same rule prunes at every depth; the last two picks have no special
+case.
 Optional wall-clock and node budgets stop the search early.  On expiry the
 result is the smaller of two valid geodetic sets, flagged non-optimal: the
 forced core plus every vertex that core leaves uncovered, or the greedy
@@ -135,41 +138,23 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
             (((unions[i] | (1 << i)) & uncov_mask, i) for i in order),
             key=lambda t: (-t[0].bit_count(), t[1]))
         counts = [gain.bit_count() for gain, _ in scored]
-        rem_mask = 0
-        for i in order:
-            rem_mask |= 1 << i
-
-        if slots == 2:
-            # closed form for the last two picks: try pairs, best gains first
-            pair_best = best_pair_gain(rem_mask, uncov_mask)
-            for pos in range(len(scored) - 1):
-                gain_i, i = scored[pos]
-                row = table[i]
-                if counts[pos] + counts[pos + 1] + pair_best < uncovered:
-                    return None  # gains sorted: every later pair is weaker
-                tick()
-                for later in range(pos + 1, len(scored)):
-                    gain_j, j = scored[later]
-                    if counts[pos] + counts[later] + pair_best < uncovered:
-                        break
-                    joint = gain_i | gain_j | (row[j] & uncov_mask)
-                    if joint == uncov_mask:
-                        return (1 << i) | (1 << j)
-            return None
-
-        if sum(counts[:slots]) < uncovered:
-            pair_credit = slots * (slots - 1) // 2 * best_pair_gain(rem_mask, uncov_mask)
-            if sum(counts[:slots]) + pair_credit < uncovered:
-                return None
+        credit = None  # pair credit, computed at most once per node
         for pos, (gain, i) in enumerate(scored):
+            # a completion whose first pick sits at pos or later gains at most
+            # the `slots` counts from pos on, plus the best residual pair
+            # interval for each of its pairs
+            top = sum(counts[pos:pos + slots])
+            if top < uncovered:
+                if credit is None:
+                    credit = slots * (slots - 1) // 2 * best_pair_gain(mask_of(order), uncov_mask)
+                if top + credit < uncovered:
+                    return None  # gains sorted: no later first pick does better
             suffix = [t[1] for t in scored[pos + 1:]]
-            saved = [(j, unions[j]) for j in suffix]
+            child = unions.copy()
             row = table[i]
             for j in suffix:
-                unions[j] |= row[j]
-            found = search(suffix, unions, cover | gain, slots - 1)
-            for j, old in saved:
-                unions[j] = old
+                child[j] |= row[j]
+            found = search(suffix, child, cover | gain, slots - 1)
             if found is not None:
                 return found | (1 << i)
         return None

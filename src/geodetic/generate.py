@@ -20,6 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import GenerationError, ValidationError
 from .graph import Graph, is_connected
@@ -154,15 +155,11 @@ def _draw_ba(n: int, m: int, rng: SplitMix64) -> set[tuple[int, int]]:
     for v in range(seed_size, n):
         want = min(d, v)
         targets: set[int] = set()
-        total = sum(degree[:v])
+        # degrees are fixed during one vertex's draws: each draw picks the
+        # first u whose running degree sum exceeds it
+        cum = list(accumulate(degree[:v]))
         while len(targets) < want:
-            r = rng.randrange(total)
-            acc = 0
-            for u in range(v):
-                acc += degree[u]
-                if r < acc:
-                    targets.add(u)
-                    break
+            targets.add(bisect_right(cum, rng.randrange(cum[-1])))
         for u in targets:
             edges.add((u, v))
             degree[u] += 1

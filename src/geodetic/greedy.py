@@ -102,22 +102,19 @@ def exclude(stale: np.ndarray, v: int) -> None:
     stale[:, v] = NO_PAIR
 
 
-def largest_increase_pair(cover: Cover, stale: np.ndarray | None = None
+def largest_increase_pair(cover: Cover, stale: np.ndarray
                           ) -> tuple[int | None, int | None, int]:
     """Best pair: uncovered part of the pair interval plus both single gains.
 
     Ties go to the lexicographically first pair.  stale is the matrix from
     pair_bounds, kept across rounds with every member excluded; this call
-    tightens the entries of the pairs it scores.  Without it the bounds are
-    built afresh.  Returns (None, None, 0) when fewer than two candidates
-    remain or no pair adds coverage.
+    tightens the entries of the pairs it scores.  Returns (None, None, 0)
+    when fewer than two candidates remain or no pair adds coverage.
     """
     table = cover.table
     n = len(table)
     if cover.coverage == full_mask(n):
         return None, None, 0  # stale entries would still admit every pair
-    if stale is None:
-        stale = pair_bounds(cover)
     uncovered = ~cover.coverage
     gains = [union & uncovered for union in cover.gains]
     counts = list(map(int.bit_count, gains))

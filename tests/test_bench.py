@@ -10,6 +10,7 @@ from geodetic.bench import (
     run_cell,
     run_grid,
 )
+from geodetic.exact import exact_geodetic
 from geodetic.generate import GenSpec, benchmark_grid, generate
 from geodetic.greedy import greedy_geodetic
 from geodetic.intervals import Instance
@@ -25,6 +26,10 @@ PINNED_CSV_SHA256 = {
 # sha256 of the greedy, add-one and local vertex sets, one line per result,
 # on ER/WS/BA at n=150, m=600, seeds 0-2
 PINNED_SETS_SHA256 = "0759a4d6c04487fa3b699ad016b0a6e2772fad0a17e4c31e39b7df83838e5685"
+
+# sha256 of exact's vertex sets, one line per cell, on every standard-scheme
+# cell with n <= 30 at seed base 0
+PINNED_EXACT_SETS_SHA256 = "37bc62a7799b8e515f467a0482ea9a09e931bfd8a58570554a315ab24a8fd3d9"
 
 
 def small_specs():
@@ -176,3 +181,13 @@ class TestPinnedValues:
                     vertices = " ".join(map(str, res.vertices))
                     digest.update(f"{family} {seed} {res.algorithm} {vertices}\n".encode())
         assert digest.hexdigest() == PINNED_SETS_SHA256
+
+    def test_exact_sets_digest(self):
+        digest = hashlib.sha256()
+        for spec in benchmark_grid("standard"):
+            if spec.n <= 30:
+                res = exact_geodetic(generate(spec))
+                assert res.optimal
+                vertices = " ".join(map(str, res.vertices))
+                digest.update(f"{spec.family} {spec.n} {spec.seed} {vertices}\n".encode())
+        assert digest.hexdigest() == PINNED_EXACT_SETS_SHA256

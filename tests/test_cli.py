@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -68,7 +69,37 @@ class TestGenerate:
         assert code == 2
 
 
+def masked_seconds(text: str) -> list[str]:
+    """Printed solve lines with the seconds column blanked."""
+    return [re.sub(r" +\d+\.\d{6}s", " <seconds>", line) for line in text.splitlines()]
+
+
+# every -a choice on P4, as printed, seconds masked
+SOLVE_LINES = {
+    "exact": ["exact                  2 <seconds>  optimal"],
+    "brute": ["brute-force            2 <seconds>  optimal"],
+    "greedy": ["greedy                 2 <seconds>  upper bound"],
+    "greedy-addone": ["greedy-addone          2 <seconds>  upper bound"],
+    "locally-greedy": ["locally-greedy         2 <seconds>  upper bound"],
+    "bounds": ["trivial-bound          4", "diameter-bound         2"],
+    "all": ["exact                  2 <seconds>  optimal",
+            "greedy                 2 <seconds>  upper bound",
+            "greedy-addone          2 <seconds>  upper bound",
+            "locally-greedy         2 <seconds>  upper bound"],
+}
+
+
 class TestSolve:
+    @pytest.mark.parametrize("algorithm", sorted(SOLVE_LINES))
+    def test_printed_lines(self, p4_file, algorithm, capsys):
+        assert main(["solve", p4_file, "-a", algorithm]) == 0
+        assert masked_seconds(capsys.readouterr().out) == SOLVE_LINES[algorithm]
+
+    def test_printed_budget_line(self, c6_file, capsys):
+        assert main(["solve", c6_file, "-a", "exact", "--node-budget", "1"]) == 0
+        assert masked_seconds(capsys.readouterr().out) == [
+            "exact                <=2 <seconds>  budget exhausted, upper bound"]
+
     def test_all_algorithms_agree_on_path(self, p4_file, capsys):
         assert main(["solve", p4_file]) == 0
         out = capsys.readouterr().out

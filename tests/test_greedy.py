@@ -93,17 +93,17 @@ class TestLargestIncrease:
 class TestLargestIncreasePair:
     def test_odd_cycle_picks_longest_interval(self):
         cover = seeded_cover(cycle_graph(5))
-        i, j, gain = largest_increase_pair(cover)
+        i, j, gain = largest_increase_pair(cover, pair_bounds(cover))
         assert (i, j) == (0, 2)
         assert gain == mask_of([0, 1, 2])
 
     def test_too_few_candidates(self):
         cover = seeded_cover(Graph(2, [(0, 1)]))
-        assert largest_increase_pair(cover) == (None, None, 0)
+        assert largest_increase_pair(cover, pair_bounds(cover)) == (None, None, 0)
 
     def test_pair_gain_covers_both_endpoints(self):
         cover = seeded_cover(cycle_graph(7))
-        i, j, gain = largest_increase_pair(cover)
+        i, j, gain = largest_increase_pair(cover, pair_bounds(cover))
         assert gain & (1 << i)
         assert gain & (1 << j)
 
@@ -186,7 +186,7 @@ def graphs_with_and_without_leaves(draw) -> Graph:
 def oracle_cover(inst: Instance, add_one: bool = False) -> int:
     """greedy_cover with every pair step taken by the exhaustive scan."""
     with mock.patch("geodetic.greedy.largest_increase_pair",
-                    lambda cover, stale=None: exhaustive_pair(cover)):
+                    lambda cover, stale: exhaustive_pair(cover)):
         return greedy_cover(inst, add_one)
 
 
@@ -199,9 +199,9 @@ class TestPrunedPairScan:
         pruned = largest_increase_pair
         steps = []
 
-        def checked(cover, stale=None):
+        def checked(cover, stale):
             want = exhaustive_pair(cover)
-            assert pruned(cover) == want  # bounds built afresh
+            assert pruned(cover, pair_bounds(cover)) == want  # bounds built afresh
             got = pruned(cover, stale)    # bounds carried across rounds
             assert got == want
             steps.append(got)
