@@ -19,8 +19,8 @@ Optional wall-clock and node budgets stop the search early.  On expiry the
 result is the smaller of two valid geodetic sets, flagged non-optimal: the
 forced core plus every vertex that core leaves uncovered, or the greedy
 cover (greedy_cover) of the same instance.  A budgeted run therefore never
-reports more than greedy_geodetic does; the greedy pass runs after the
-budget has expired, so the run takes that much longer than its budget.
+reports more than greedy_geodetic does.  Both sets are built before the
+search starts, so greedy's run time counts against a time budget.
 """
 
 from __future__ import annotations
@@ -89,6 +89,10 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
         if limits.time_budget is not None:
             deadline = start + limits.time_budget
         node_cap = limits.node_budget
+        # the smaller of two valid sets: the forced core plus everything it
+        # leaves uncovered, or greedy's cover of the same instance
+        fallback = min(forced | (full & ~base.coverage), greedy_cover(inst),
+                       key=int.bit_count)
     nodes = 0
 
     candidates = [v for v in range(n) if not (forced >> v) & 1]
@@ -118,24 +122,29 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
                     best = masked
         return best
 
-    def search(order: list[int], unions: list[int], cover: int, slots: int) -> int | None:
-        """Pick `slots` vertices from `order`; returns their mask or None."""
+    def search(items: list[tuple[int, int]], row: list[int], cover: int,
+               slots: int) -> int | None:
+        """Pick `slots` vertices from items; returns their mask or None.
+
+        items are (gain, vertex) pairs masked by an ancestor's uncovered set;
+        row is the last pick's table row, OR-ed into each gain to score it here.
+        """
         tick()
         if cover == full:
             return 0
-        if slots == 0 or not order:
+        if slots == 0 or not items:
             return None
         uncov_mask = full & ~cover
         uncovered = uncov_mask.bit_count()
 
         if slots == 1:
-            for i in order:
-                if ((unions[i] | (1 << i)) & uncov_mask) == uncov_mask:
+            for gain, i in items:
+                if ((gain | row[i]) & uncov_mask) == uncov_mask:
                     return 1 << i
             return None
 
         scored = sorted(
-            (((unions[i] | (1 << i)) & uncov_mask, i) for i in order),
+            (((gain | row[i]) & uncov_mask, i) for gain, i in items),
             key=lambda t: (-t[0].bit_count(), t[1]))
         counts = [gain.bit_count() for gain, _ in scored]
         credit = None  # pair credit, computed at most once per node
@@ -146,30 +155,22 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
             top = sum(counts[pos:pos + slots])
             if top < uncovered:
                 if credit is None:
-                    credit = slots * (slots - 1) // 2 * best_pair_gain(mask_of(order), uncov_mask)
+                    rem_mask = mask_of(v for _, v in items)
+                    credit = slots * (slots - 1) // 2 * best_pair_gain(rem_mask, uncov_mask)
                 if top + credit < uncovered:
                     return None  # gains sorted: no later first pick does better
-            suffix = [t[1] for t in scored[pos + 1:]]
-            child = unions.copy()
-            row = table[i]
-            for j in suffix:
-                child[j] |= row[j]
-            found = search(suffix, child, cover | gain, slots - 1)
+            found = search(scored[pos + 1:], table[i], cover | gain, slots - 1)
             if found is not None:
                 return found | (1 << i)
         return None
 
     try:
         for total in range(max(forced.bit_count() + 1, 2), n):
-            chosen = search(candidates, list(base.gains), base.coverage,
-                            total - forced.bit_count())
+            chosen = search([(1 << v, v) for v in candidates], base.gains,
+                            base.coverage, total - forced.bit_count())
             if chosen is not None:
                 return finish("exact", inst, forced | chosen, True, start)
     except _BudgetExhausted:
-        # the smaller of two valid sets: the forced core plus everything it
-        # leaves uncovered, or greedy's cover of the same instance
-        members = min(forced | (full & ~base.coverage), greedy_cover(inst),
-                      key=int.bit_count)
-        return finish("exact", inst, members, False, start)
+        return finish("exact", inst, fallback, False, start)
     # every smaller size was refuted, so only the whole vertex set is left
     return finish("exact", inst, full, True, start)

@@ -6,8 +6,8 @@ reads each candidate's new coverage off the gains, masked once with the
 complement of the current coverage, and never revisits the members.  Each
 round scores the best single vertex and the best vertex pair, then takes the
 single vertex when its gain beats half the pair gain, otherwise the pair.
-With add_one set, pair additions are disabled after the first round so the
-set grows one vertex at a time.
+Add-one is one such round followed by grow, which adds the best single
+vertex until no vertex adds coverage; locally greedy runs grow too.
 
 Pair scoring is exact but pruned by a per-pair stale bound.  With U the
 uncovered vertices and s_i = |gains[i] & U|, a pair scores
@@ -146,30 +146,35 @@ def largest_increase_pair(cover: Cover, stale: np.ndarray
     return best
 
 
+def grow(cover: Cover) -> int:
+    """Add largest_increase's pick until no vertex adds coverage; return the members.
+
+    Once the set has a member, every uncovered vertex adds at least itself, so
+    the loop stops exactly when every vertex is covered.
+    """
+    while True:
+        v, _ = largest_increase(cover)
+        if v is None:
+            return cover.members
+        cover.add(v)
+
+
 def greedy_cover(inst: Instance, add_one: bool = False) -> int:
     """Run the covering loop to completion and return the member mask."""
     cover = Cover(inst.table, leaves(inst.graph))
     stale = pair_bounds(cover)
-
-    def take(v: int) -> None:
-        cover.add(v)
-        exclude(stale, v)
-
-    ell, gain_single = largest_increase(cover)
-    pk, ph, gain_pair = largest_increase_pair(cover, stale)
-    while gain_single.bit_count() + gain_pair.bit_count() > 0:
-        # single wins when its gain exceeds half the pair gain
-        if 2 * gain_single.bit_count() > gain_pair.bit_count():
-            take(ell)
-        else:
-            take(pk)
-            take(ph)
+    while True:
         ell, gain_single = largest_increase(cover)
+        pk, ph, gain_pair = largest_increase_pair(cover, stale)
+        if not (gain_single or gain_pair):
+            return cover.members
+        # single wins when its gain exceeds half the pair gain
+        single = 2 * gain_single.bit_count() > gain_pair.bit_count()
+        for v in (ell,) if single else (pk, ph):
+            cover.add(v)
+            exclude(stale, v)
         if add_one:
-            gain_pair = 0
-        else:
-            pk, ph, gain_pair = largest_increase_pair(cover, stale)
-    return cover.members
+            return grow(cover)
 
 
 def greedy_geodetic(x: Graph | Instance, add_one: bool = False) -> GeodeticResult:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, require_connected
-from .intervals import all_pairs_distances, pk_table
+from .intervals import all_pairs_distances, pk_table, require_table_fits
 
 _WRAP_COLUMN = 72
 
@@ -41,6 +41,7 @@ class IlpModel:
 
 
 def build_model(g: Graph) -> IlpModel:
+    require_table_fits(g.n)
     require_connected(g)
     return IlpModel(n=g.n, pk=pk_table(all_pairs_distances(g)))
 

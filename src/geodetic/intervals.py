@@ -30,6 +30,10 @@ from .graph import Graph, require_connected
 # Largest interval table Instance.of will build, in estimated bytes.
 TABLE_MEMORY_CAP = 4 << 30
 
+# Peak memory of an LP export per P(k) entry, its text included: 55-58 bytes
+# of peak RSS on paths, n = 200-400 (CPython 3.11, 64-bit Linux).
+PK_ENTRY_BYTES = 56
+
 
 def table_bytes(n: int) -> int:
     """Estimated memory of an n-vertex table: list slots plus the int masks."""
@@ -167,14 +171,23 @@ class Instance:
 def pk_table(d: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each vertex k, the pairs (i, j), i < j, whose interval contains k.
 
-    Every P(k) holds the same (i, j) tuple objects, built once.
+    Every P(k) holds the same (i, j) tuple objects, built once.  A path has
+    about n^3 / 6 entries, so this raises ValidationError as soon as the
+    entries so far, at PK_ENTRY_BYTES each, pass TABLE_MEMORY_CAP.
     """
     n = len(d)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)  # row-major order is lexicographic
     iu, ju = np.nonzero(upper)
     pairs = list(zip(iu.tolist(), ju.tolist()))
     per_k = []
+    entries = 0
     for k in range(n):
         member = (d[:, k, None] + d[k, None, :]) == d
-        per_k.append(tuple(map(pairs.__getitem__, np.flatnonzero(member[upper]).tolist())))
+        hits = np.flatnonzero(member[upper]).tolist()
+        entries += len(hits)
+        if entries * PK_ENTRY_BYTES > TABLE_MEMORY_CAP:
+            raise ValidationError(
+                f"P(k) lists for n={n} pass {entries} entries, over the "
+                f"{TABLE_MEMORY_CAP / 2**30:g} GiB cap at {PK_ENTRY_BYTES} bytes each")
+        per_k.append(tuple(map(pairs.__getitem__, hits)))
     return tuple(per_k)

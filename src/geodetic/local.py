@@ -1,10 +1,10 @@
 """Locally greedy upper bound, one vertex per round from a single start.
 
 The set grows through a Cover over the shared interval table, started at one
-vertex: each round adds the candidate whose accumulated gain (the union of
-I(s, j) over the members s) adds the most uncovered vertices, the same
-single-vertex step greedy uses, until every vertex is covered.  Gains only
-ever grow, so nothing is recomputed from scratch.
+vertex, and its loop is greedy.grow: each round adds the candidate whose
+accumulated gain (the union of I(s, j) over the members s) adds the most
+uncovered vertices, until every vertex is covered.  Gains only ever grow, so
+nothing is recomputed from scratch.
 
 The walk starts from a vertex that must belong to every geodetic set when
 one exists: a degree-one vertex, else the lowest vertex of the forced core
@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import time
 
-from .bitset import full_mask
-from .errors import AlgorithmError
 from .graph import Graph
-from .greedy import largest_increase
+from .greedy import grow
 from .intervals import Cover, Instance
 from .result import GeodeticResult, finish
 
@@ -39,11 +37,5 @@ def locally_greedy_geodetic(x: Graph | Instance) -> GeodeticResult:
     """Grow a geodetic set one vertex per round; finish verifies it."""
     start = time.perf_counter()
     inst = Instance.of(x)
-    full = full_mask(inst.n)
-    cover = Cover(inst.table, 1 << find_start(inst))
-    while cover.coverage != full:
-        u, _ = largest_increase(cover)
-        if u is None:
-            raise AlgorithmError("local pass added no coverage")
-        cover.add(u)
-    return finish("locally-greedy", inst, cover.members, False, start)
+    members = grow(Cover(inst.table, 1 << find_start(inst)))
+    return finish("locally-greedy", inst, members, False, start)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import geodetic.intervals
 from geodetic.cli import main
 from geodetic.graph import parse_edge_list
 from helpers import count_builds
@@ -229,6 +230,15 @@ class TestExportIlp:
         out = tmp_path / "model.lp"
         assert main(["export-ilp", p4_file, "-o", str(out)]) == 0
         assert "Binary" in out.read_text()
+
+    def test_oversized_export_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # path 60's P(k) lists pass a 1 MiB cap; its table does not
+        monkeypatch.setattr(geodetic.intervals, "TABLE_MEMORY_CAP", 1 << 20)
+        src = tmp_path / "p60.txt"
+        src.write_text("".join(f"{v} {v + 1}\n" for v in range(59)))
+        assert main(["export-ilp", str(src)]) == 2
+        assert "cap" in capsys.readouterr().err
+        assert not (tmp_path / "p60.lp").exists()
 
 
 class TestBench:

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 
+import geodetic.exact
 from geodetic.bitset import mask_of
 from geodetic.errors import ValidationError
 from geodetic.exact import (
@@ -204,6 +207,23 @@ class TestSearchLimits:
         assert not res.optimal
         t = interval_table(all_pairs_distances(g))
         assert is_geodetic(t, mask_of(res.vertices))
+
+    def test_time_budget_counts_the_fallback(self, monkeypatch):
+        # greedy's cover is built before the search and takes 10 s of a fake
+        # clock, so the 1 s budget is spent before the first search node
+        clock = SimpleNamespace(now=geodetic.exact.time.perf_counter())
+        monkeypatch.setattr(geodetic.exact, "time",
+                            SimpleNamespace(perf_counter=lambda: clock.now))
+        greedy_cover = geodetic.exact.greedy_cover
+
+        def slow_greedy_cover(inst):
+            clock.now += 10.0
+            return greedy_cover(inst)
+
+        monkeypatch.setattr(geodetic.exact, "greedy_cover", slow_greedy_cover)
+        res = exact_geodetic(cycle_graph(6), SearchLimits(time_budget=1.0))
+        assert not res.optimal
+        assert res.value == 2
 
     def test_generous_budget_still_optimal(self):
         g = cycle_graph(8)

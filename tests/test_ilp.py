@@ -1,9 +1,14 @@
+import itertools
+
+import numpy as np
 import pytest
 
+import geodetic.intervals
 from geodetic.errors import ValidationError
-from geodetic.generate import GenSpec, generate
+from geodetic.exact import exact_geodetic
+from geodetic.generate import GenSpec, benchmark_grid, generate
 from geodetic.graph import Graph
-from geodetic.ilp import build_model, export_ilp, render_lp
+from geodetic.ilp import IlpModel, build_model, export_ilp, render_lp
 from helpers import complete_graph, cycle_graph, path_graph
 
 K2_LP = """Minimize
@@ -118,3 +123,49 @@ class TestRender:
                        if l.startswith(f" cover{k}: "))
             terms = row.split(": ")[1].split(" >= ")[0].split(" + ")
             assert terms == [f"y{i}_{j}" for i, j in model.pk[k]] + [f"x{k}"]
+
+
+class TestMemoryCap:
+    # path 60: its table (~95 kB) is under 1 MiB, its 37,820 P(k) entries
+    # are not; the table estimate alone is over 64 kB
+    @pytest.mark.parametrize("cap", [1 << 20, 1 << 16])
+    def test_oversized_export_is_rejected(self, monkeypatch, cap):
+        monkeypatch.setattr(geodetic.intervals, "TABLE_MEMORY_CAP", cap)
+        with pytest.raises(ValidationError, match="cap"):
+            export_ilp(path_graph(60))
+
+
+def milp_optimum(model: IlpModel) -> int:
+    """Optimum of the 0-1 program by scipy's MILP solver, rows built from model.pk."""
+    opt = pytest.importorskip("scipy.optimize")
+    n = model.n
+    column = {pair: n + pos for pos, pair in enumerate(itertools.combinations(range(n), 2))}
+    rows, lower, upper = [], [], []
+
+    def add_row(coefs: dict[int, int], lo: float, hi: float) -> None:
+        row = np.zeros(model.variable_count)
+        for var, coef in coefs.items():
+            row[var] = coef
+        rows.append(row)
+        lower.append(lo)
+        upper.append(hi)
+
+    for k in range(n):
+        add_row({**{column[pair]: 1 for pair in model.pk[k]}, k: 1}, 1, np.inf)
+    for (i, j), y in column.items():
+        add_row({y: 1, i: -1}, -np.inf, 0)
+        add_row({y: 1, j: -1}, -np.inf, 0)
+        add_row({i: 1, j: 1, y: -1}, -np.inf, 1)
+    assert len(rows) == model.constraint_count
+    cost = np.r_[np.ones(n), np.zeros(model.variable_count - n)]
+    res = opt.milp(cost, integrality=np.ones_like(cost), bounds=opt.Bounds(0, 1),
+                   constraints=opt.LinearConstraint(np.array(rows), lower, upper))
+    assert res.success
+    return round(res.fun)
+
+
+@pytest.mark.parametrize("spec", [s for s in benchmark_grid("standard") if s.n == 10],
+                         ids=lambda s: f"{s.family}-m{s.m_target}-s{s.seed}")
+def test_milp_optimum_matches_exact(spec):
+    g = generate(spec)
+    assert milp_optimum(build_model(g)) == exact_geodetic(g).value
