@@ -21,7 +21,7 @@ from .generate import (FAMILIES, GenSpec, SCHEMES, benchmark_grid,
                        edge_count_for_density, generate)
 from .graph import Graph, parse_edge_list, write_edge_list
 from .greedy import greedy_geodetic
-from .ilp import export_ilp
+from .ilp import build_model, lp_rows
 from .intervals import Instance, all_pairs_distances, closure, require_table_fits
 from .local import locally_greedy_geodetic
 
@@ -210,8 +210,9 @@ def export_ilp_cmd(graph_file, output, one_based):
     if output is None:
         output = str(Path(graph_file).with_suffix(".lp"))
     with _translated_errors():
-        text = export_ilp(g)
-    Path(output).write_text(text)
+        model = build_model(g)
+    with open(output, "w") as out:
+        out.writelines(lp_rows(model))
     click.echo(f"wrote {output}", err=True)
 
 

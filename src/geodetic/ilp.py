@@ -14,16 +14,31 @@ The pair list for each k keeps pairs with k as an endpoint; their y terms
 are forced to 0 whenever x_k is, so they are harmless and keep the rows
 uniform.  Output ordering is fixed (k ascending, pairs lexicographic), so a
 re-export is byte-identical.
+
+The renderer keeps its per-term work in C string routines: each x and y
+variable is named once per export, a covering row is one " + ".join of those
+names, and _wrap breaks it at the last " + " that fits, by str.rfind on the
+first line and one compiled pattern on the rest.  The linking rows and the
+Binary section are joined from per-i templates with j's digits in between.
+lp_rows yields the text in whole-line pieces: render_lp joins them into one
+string, and the CLI writes them to its file as they come, so it holds the
+model and the variable names but never the whole text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
 from .graph import Graph, require_connected
 from .intervals import all_pairs_distances, pk_table, require_table_fits
 
 _WRAP_COLUMN = 72
+# the longest run of whole terms, up to a separator or the end, that fits
+# on an indented continuation line
+_CONTINUATION = re.compile(rf"(.{{1,{_WRAP_COLUMN - 3}}})(?: \+ |$)")
 
 
 @dataclass(frozen=True)
@@ -46,42 +61,49 @@ def build_model(g: Graph) -> IlpModel:
     return IlpModel(n=g.n, pk=pk_table(all_pairs_distances(g)))
 
 
-def _emit(lines: list[str], head: str, tokens: list[str], tail: str) -> None:
-    # wrap long rows; continuation lines carry the usual LP leading space
-    line = head
-    for pos, tok in enumerate(tokens):
-        piece = tok if pos == 0 else f" + {tok}"
-        if len(line) + len(piece) > _WRAP_COLUMN and pos > 0:
-            lines.append(line + " +")
-            line = "   " + tok
-        else:
-            line += piece
-    lines.append(line + tail)
+def _wrap(body: str) -> str:
+    """Break a row of " + "-joined terms after the last term that fits.
+
+    A line holds at most _WRAP_COLUMN characters, its indent included; each
+    break leaves " +" at the line end and a three-space indent on the next.
+    Every line has room for a term: with n at most 3900, a row head is at most
+    12 characters and a term at most 10.
+    """
+    if len(body) <= _WRAP_COLUMN:
+        return body
+    cut = body.rfind(" + ", 0, _WRAP_COLUMN + 3)
+    return body[:cut] + " +\n   " + " +\n   ".join(_CONTINUATION.findall(body, cut + 3))
+
+
+def lp_rows(model: IlpModel) -> Iterator[str]:
+    """The LP text in pieces of whole lines, each ending in a newline."""
+    n = model.n
+    ids = list(map(str, range(n)))
+    xs = ["x" + k for k in ids]
+    ys: dict[tuple[int, int], str] = {}  # (i, j) -> "y{i}_{j}", keys equal to pk's pairs
+    for i in range(n):
+        ys.update(zip(zip(repeat(i), range(i + 1, n)), map(f"y{i}_".__add__, ids[i + 1:])))
+    yield "Minimize\n"
+    yield _wrap(" obj: " + " + ".join(xs)) + "\n"
+    yield "Subject To\n"
+    for k in range(n):
+        terms = list(map(ys.__getitem__, model.pk[k]))
+        terms.append(xs[k])
+        yield _wrap(f" cover{k}: " + " + ".join(terms)) + " >= 1\n"
+    for i in range(n - 1):
+        # three rows per pair (i, j), j > i; j's digits go between the parts
+        parts = (f" mc1_{i}_", f": y{i}_", f" - x{i} <= 0\n mc2_{i}_", f": y{i}_",
+                 " - x", f" <= 0\n mc3_{i}_", f": x{i} + x", f" - y{i}_", " <= 1\n")
+        yield "".join(map(str.join, ids[i + 1:], repeat(parts)))
+    yield "Binary\n"
+    yield " " + "\n ".join(xs) + "\n"
+    for i in range(n - 1):
+        yield f" y{i}_" + f"\n y{i}_".join(ids[i + 1:]) + "\n"
+    yield "End\n"
 
 
 def render_lp(model: IlpModel) -> str:
-    n = model.n
-    lines: list[str] = []
-    lines.append("Minimize")
-    _emit(lines, " obj: ", [f"x{k}" for k in range(n)], "")
-    lines.append("Subject To")
-    for k in range(n):
-        tokens = [f"y{i}_{j}" for i, j in model.pk[k]]
-        tokens.append(f"x{k}")
-        _emit(lines, f" cover{k}: ", tokens, " >= 1")
-    for i in range(n):
-        for j in range(i + 1, n):
-            lines.append(f" mc1_{i}_{j}: y{i}_{j} - x{i} <= 0")
-            lines.append(f" mc2_{i}_{j}: y{i}_{j} - x{j} <= 0")
-            lines.append(f" mc3_{i}_{j}: x{i} + x{j} - y{i}_{j} <= 1")
-    lines.append("Binary")
-    for k in range(n):
-        lines.append(f" x{k}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            lines.append(f" y{i}_{j}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    return "".join(lp_rows(model))
 
 
 def export_ilp(g: Graph) -> str:

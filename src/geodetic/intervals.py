@@ -30,8 +30,11 @@ from .graph import Graph, require_connected
 # Largest interval table Instance.of will build, in estimated bytes.
 TABLE_MEMORY_CAP = 4 << 30
 
-# Peak memory of an LP export per P(k) entry, its text included: 55-58 bytes
-# of peak RSS on paths, n = 200-400 (CPython 3.11, 64-bit Linux).
+# Peak memory allowed per P(k) entry of an LP export.  On paths with
+# n = 200-400 (CPython 3.11, 64-bit Linux), peak RSS grows by 10-12 bytes per
+# entry for `geodetic export-ilp`, which streams its rows to the file, and by
+# 32-35 for export_ilp, which returns the text as one string.  56, measured
+# before the rows were streamed (55-58 then), bounds both.
 PK_ENTRY_BYTES = 56
 
 

@@ -6,7 +6,9 @@ import pytest
 
 import geodetic.intervals
 from geodetic.cli import main
-from geodetic.graph import parse_edge_list
+from geodetic.generate import GenSpec, generate
+from geodetic.graph import parse_edge_list, write_edge_list
+from geodetic.ilp import export_ilp
 from helpers import count_builds
 
 P4_TEXT = "0 1\n1 2\n2 3\n"
@@ -230,6 +232,13 @@ class TestExportIlp:
         out = tmp_path / "model.lp"
         assert main(["export-ilp", p4_file, "-o", str(out)]) == 0
         assert "Binary" in out.read_text()
+
+    def test_file_is_export_ilp_bytes(self, tmp_path):
+        g = generate(GenSpec("BA", 60, 120, seed=2))
+        src = tmp_path / "g.txt"
+        src.write_text(write_edge_list(g))
+        assert main(["export-ilp", str(src)]) == 0
+        assert (tmp_path / "g.lp").read_bytes() == export_ilp(g).encode()
 
     def test_oversized_export_is_data_error(self, tmp_path, monkeypatch, capsys):
         # path 60's P(k) lists pass a 1 MiB cap; its table does not

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from geodetic.errors import EdgeListParseError, ValidationError
 from geodetic.graph import (
@@ -172,3 +173,68 @@ class TestParse:
     def test_round_trip(self, g):
         again = parse_edge_list(write_edge_list(g))
         assert again == g
+
+
+# small ids, and ids on both sides of 2^63, which parse as Python ints and
+# get compacted
+VERTEX_IDS = st.integers(0, 6) | st.integers(2**63 - 4, 2**63 + 4)
+PADDING = st.sampled_from(["", " ", "\t", " \t "])
+SEPARATORS = st.sampled_from([" ", "\t", "   ", " \t\t"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n"])
+SKIPPED = st.sampled_from(["", "   ", "\t", "# comment", "%\tnote"])
+MALFORMED = st.sampled_from(["7", "1 2 3", "a b", "1 x", "1.5 2", "0x1 2",
+                             "-1 2", "3 3", f"{2**63} {2**63}"])
+
+
+@st.composite
+def edge_list_texts(draw) -> tuple[str, list[tuple[int, int]]]:
+    """Edge-list text in mixed whitespace, and the edges in the order written.
+
+    Edges repeat, reversed or not, between blank and comment lines; every
+    line ends in LF or CRLF.
+    """
+    edges = draw(st.lists(st.tuples(VERTEX_IDS, VERTEX_IDS).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=10))
+    written, lines = [], []
+    for u, v in edges:
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                u, v = v, u
+            written.append((u, v))
+            lines.append(f"{draw(PADDING)}{u}{draw(SEPARATORS)}{v}{draw(PADDING)}")
+        if draw(st.booleans()):
+            lines.append(draw(SKIPPED))
+    return "".join(line + draw(LINE_ENDS) for line in lines), written
+
+
+def canonical_graph(written: list[tuple[int, int]]) -> Graph:
+    """The graph of an edge list: ids 0..n-1 kept, others numbered by first appearance."""
+    ids = list(dict.fromkeys(v for edge in written for v in edge))
+    if max(ids) == len(ids) - 1:
+        label = {v: v for v in ids}
+    else:
+        label = {v: pos for pos, v in enumerate(ids)}
+    canonical = sorted({tuple(sorted((label[u], label[v]))) for u, v in written})
+    return Graph(len(ids), canonical)
+
+
+class TestParseFuzz:
+    @given(edge_list_texts())
+    def test_matches_canonical_edge_list(self, case):
+        text, written = case
+        assert parse_edge_list(text) == canonical_graph(written)
+
+    @given(edge_list_texts(), MALFORMED, st.integers(0, 40))
+    def test_malformed_line_is_a_parse_or_validation_error(self, case, bad, pos):
+        lines = case[0].splitlines(keepends=True)
+        lines.insert(pos, bad + "\n")
+        with pytest.raises((EdgeListParseError, ValidationError)):
+            parse_edge_list("".join(lines))
+
+    @given(st.text(st.sampled_from("0123456789 -\t\r\n#%ax."), max_size=60))
+    def test_any_text_parses_or_raises_a_graph_error(self, text):
+        try:
+            g = parse_edge_list(text)
+        except (EdgeListParseError, ValidationError):
+            return
+        assert g == parse_edge_list(write_edge_list(g))

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import geodetic.intervals
 from geodetic.errors import ValidationError
@@ -9,7 +11,11 @@ from geodetic.exact import exact_geodetic
 from geodetic.generate import GenSpec, benchmark_grid, generate
 from geodetic.graph import Graph
 from geodetic.ilp import IlpModel, build_model, export_ilp, render_lp
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import complete_graph, connected_graphs, cycle_graph, path_graph, star_graph
+
+# sha256 of export_ilp over every standard-scheme cell with n <= 30 at seed
+# base 0, then P60, C150 and the star K1,39, whose rows wrap many times
+PINNED_LP_SHA256 = "2c5ff5f507bba948d33968116463a0ab3c7afc59d82602e1383d5e5b00e29721"
 
 K2_LP = """Minimize
  obj: x0 + x1
@@ -54,6 +60,35 @@ End
 
 def unwrap(text: str) -> str:
     return text.replace(" +\n   ", " + ")
+
+
+def reference_lp(model: IlpModel) -> str:
+    """The LP text built one term and one line at a time."""
+    lines = []
+
+    def emit(head: str, tokens: list[str], tail: str) -> None:
+        line = head + tokens[0]
+        for tok in tokens[1:]:
+            if len(line) + 3 + len(tok) > 72:
+                lines.append(line + " +")
+                line = "   " + tok
+            else:
+                line += " + " + tok
+        lines.append(line + tail)
+
+    n = model.n
+    pairs = list(itertools.combinations(range(n), 2))
+    lines.append("Minimize")
+    emit(" obj: ", [f"x{k}" for k in range(n)], "")
+    lines.append("Subject To")
+    for k in range(n):
+        emit(f" cover{k}: ", [f"y{i}_{j}" for i, j in model.pk[k]] + [f"x{k}"], " >= 1")
+    for i, j in pairs:
+        lines += [f" mc1_{i}_{j}: y{i}_{j} - x{i} <= 0", f" mc2_{i}_{j}: y{i}_{j} - x{j} <= 0",
+                  f" mc3_{i}_{j}: x{i} + x{j} - y{i}_{j} <= 1"]
+    lines += ["Binary"] + [f" x{k}" for k in range(n)] + [f" y{i}_{j}" for i, j in pairs]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 class TestModel:
@@ -113,6 +148,19 @@ class TestRender:
         for pos, line in enumerate(lines[:-1]):
             if line.endswith(" +"):
                 assert lines[pos + 1].startswith("   ")
+
+    @settings(max_examples=40)
+    @given(connected_graphs(min_n=1, max_n=14))
+    def test_matches_reference(self, g):
+        model = build_model(g)
+        assert render_lp(model) == reference_lp(model)
+
+    def test_pinned_digest(self):
+        digest = hashlib.sha256()
+        graphs = [generate(spec) for spec in benchmark_grid("standard") if spec.n <= 30]
+        for g in graphs + [path_graph(60), cycle_graph(150), star_graph(39)]:
+            digest.update(export_ilp(g).encode())
+        assert digest.hexdigest() == PINNED_LP_SHA256
 
     def test_cover_row_matches_pair_table(self):
         g = cycle_graph(6)

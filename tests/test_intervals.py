@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from geodetic.bitset import full_mask, mask_of, vertices_of
 from geodetic.errors import ValidationError
 from geodetic.exact import brute_force_geodetic, exact_geodetic
-from geodetic.generate import GenSpec, generate
+from geodetic.generate import GenSpec, benchmark_grid, generate
 from geodetic.graph import Graph
 from geodetic.greedy import greedy_geodetic
 from geodetic.intervals import (
@@ -32,6 +32,7 @@ from helpers import (
     oracle_closure,
     oracle_interval,
     path_graph,
+    petersen_graph,
     sssp_intervals,
 )
 
@@ -240,6 +241,41 @@ class TestPkTable:
                 (i, j) for i, j in itertools.combinations(range(g.n), 2)
                 if k in oracle_interval(g, i, j))
             assert pk[k] == expect
+
+
+def networkx_intervals(g: Graph) -> dict[tuple[int, int], set[int]]:
+    """I(i, j) for every ordered pair: the vertices of networkx's shortest paths."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return {(i, j): set().union(*nx.all_shortest_paths(h, i, j))
+            for i in range(g.n) for j in range(g.n)}
+
+
+NETWORKX_ORACLE_GRAPHS = (
+    [pytest.param(generate(spec), id=f"{spec.family}-m{spec.m_target}-s{spec.seed}")
+     for spec in benchmark_grid("standard") if spec.n == 10]
+    + [pytest.param(cycle_graph(7), id="C7"), pytest.param(path_graph(6), id="P6"),
+       pytest.param(petersen_graph(), id="petersen")])
+
+
+@pytest.mark.parametrize("g", NETWORKX_ORACLE_GRAPHS)
+class TestNetworkxOracle:
+    """P(k) and the interval table against networkx's shortest-path enumeration."""
+
+    def test_pk_table(self, g):
+        intervals = networkx_intervals(g)
+        pk = pk_table(all_pairs_distances(g))
+        for k in range(g.n):
+            assert pk[k] == tuple((i, j) for i, j in itertools.combinations(range(g.n), 2)
+                                  if k in intervals[i, j])
+
+    def test_interval_table(self, g):
+        intervals = networkx_intervals(g)
+        table = Instance.of(g).table
+        for (i, j), interval in intervals.items():
+            assert table[i][j] == mask_of(interval)
 
 
 class TestSsspIntervals:
