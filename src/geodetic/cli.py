@@ -25,9 +25,6 @@ from .ilp import build_model, lp_rows
 from .intervals import Instance, all_pairs_distances, closure, require_table_fits
 from .local import locally_greedy_geodetic
 
-ALGORITHMS = ("exact", "brute", "greedy", "greedy-addone", "locally-greedy",
-              "bounds", "all")
-ALL_SOLVERS = ("exact", "greedy", "greedy-addone", "locally-greedy")
 SOLVERS = {
     "exact": exact_geodetic,
     "brute": lambda g, limits: brute_force_geodetic(g),
@@ -35,6 +32,8 @@ SOLVERS = {
     "greedy-addone": lambda g, limits: greedy_geodetic(g, add_one=True),
     "locally-greedy": lambda g, limits: locally_greedy_geodetic(g),
 }
+ALGORITHMS = (*SOLVERS, "bounds", "all")
+ALL_SOLVERS = tuple(name for name in SOLVERS if name != "brute")
 
 
 class UsageError(click.UsageError):
@@ -58,6 +57,17 @@ def _translated_errors():
         raise DataError(str(exc)) from exc
     except AlgorithmError as exc:
         raise InternalError(str(exc)) from exc
+
+
+def _check_writable(path: str) -> None:
+    """Exit 1 with one line unless path opens for writing; leave it as it was."""
+    existed = Path(path).exists()
+    try:
+        open(path, "a").close()  # append mode never truncates
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror}") from exc
+    if not existed:
+        Path(path).unlink()
 
 
 def _load_graph(path: str, one_based: bool) -> Graph:
@@ -91,6 +101,8 @@ def generate_cmd(family, n, density, edges, seed, ws_rewire_prob, output):
     """Generate a seeded random connected graph as an edge list."""
     if (density is None) == (edges is None):
         raise UsageError("give exactly one of --density or --edges")
+    if output != "-":
+        _check_writable(output)
     with _translated_errors():
         if edges is None:
             edges = edge_count_for_density(n, density)
@@ -186,6 +198,7 @@ def bench(scheme, families, seed_base, max_n, exact_max_n, exact_time_budget,
     if jobs < 1:
         raise UsageError("--jobs must be at least 1")
     _search_limits(exact_time_budget)  # reject a bad budget before any cell runs
+    _check_writable(output)  # and an unwritable path
     with _translated_errors():
         specs = benchmark_grid(scheme, families=family_tuple, seed_base=seed_base)
         if max_n is not None:
@@ -209,6 +222,7 @@ def export_ilp_cmd(graph_file, output, one_based):
     g = _load_graph(graph_file, one_based)
     if output is None:
         output = str(Path(graph_file).with_suffix(".lp"))
+    _check_writable(output)
     with _translated_errors():
         model = build_model(g)
     with open(output, "w") as out:

@@ -16,11 +16,9 @@ pair interval on every future pair) cannot cover the remaining vertices.
 The same rule prunes at every depth; the last two picks have no special
 case.
 Optional wall-clock and node budgets stop the search early.  On expiry the
-result is the smaller of two valid geodetic sets, flagged non-optimal: the
-forced core plus every vertex that core leaves uncovered, or the greedy
-cover (greedy_cover) of the same instance.  A budgeted run therefore never
-reports more than greedy_geodetic does.  Both sets are built before the
-search starts, so greedy's run time counts against a time budget.
+result is the greedy cover (greedy_cover) of the same instance, flagged
+non-optimal; it is built before the search starts, so greedy's run time
+counts against a time budget.
 """
 
 from __future__ import annotations
@@ -89,10 +87,7 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
         if limits.time_budget is not None:
             deadline = start + limits.time_budget
         node_cap = limits.node_budget
-        # the smaller of two valid sets: the forced core plus everything it
-        # leaves uncovered, or greedy's cover of the same instance
-        fallback = min(forced | (full & ~base.coverage), greedy_cover(inst),
-                       key=int.bit_count)
+        fallback = greedy_cover(inst)
     nodes = 0
 
     candidates = [v for v in range(n) if not (forced >> v) & 1]

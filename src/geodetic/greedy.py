@@ -24,10 +24,12 @@ in the same order a full scan visits them, and only a strictly larger
 count replaces the best, so the lexicographically first best pair wins,
 exactly as when every pair is scored.
 
-Seeding: every vertex of degree <= 1 belongs to every geodetic set, so the
-set starts from all of them.  On graphs without such vertices the first
-addition is necessarily a pair, because single-vertex gains are unions over
-the current (empty) set.
+Seeding: the set starts from the forced core (Instance.forced), which lies
+in every geodetic set; without one the first pick is a pair, as single
+gains are unions over the empty set.  The result has at most |forced| + |U|
+members, U what the core leaves uncovered: once the set is non-empty each
+uncovered vertex gains at least itself, so a single pick covers at least
+one new vertex and a pair pick (at least twice the best single gain) two.
 """
 
 from __future__ import annotations
@@ -45,15 +47,6 @@ from .result import GeodeticResult, finish
 # Stale entry of a pair no scan may pick; with single counts of at most n
 # each added, its bound stays negative for every n the table cap admits.
 NO_PAIR = np.iinfo(np.int16).min
-
-
-def leaves(g: Graph) -> int:
-    """Greedy's seed: the mask of every vertex of degree <= 1."""
-    mask = 0
-    for v in range(g.n):
-        if g.degree(v) <= 1:
-            mask |= 1 << v
-    return mask
 
 
 def largest_increase(cover: Cover) -> tuple[int | None, int]:
@@ -161,7 +154,7 @@ def grow(cover: Cover) -> int:
 
 def greedy_cover(inst: Instance, add_one: bool = False) -> int:
     """Run the covering loop to completion and return the member mask."""
-    cover = Cover(inst.table, leaves(inst.graph))
+    cover = Cover(inst.table, inst.forced)
     stale = pair_bounds(cover)
     while True:
         ell, gain_single = largest_increase(cover)

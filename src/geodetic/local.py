@@ -7,9 +7,9 @@ uncovered vertices, until every vertex is covered.  Gains only ever grow, so
 nothing is recomputed from scratch.
 
 The walk starts from a vertex that must belong to every geodetic set when
-one exists: a degree-one vertex, else the lowest vertex of the forced core
-(Instance.forced, the simplicial vertices); failing both (for example on
-cycles) it falls back to a minimum-degree vertex.
+one exists: the lowest vertex of the forced core (Instance.forced, the
+simplicial vertices, degree-one vertices included); when the core is empty
+(for example on cycles) it falls back to a minimum-degree vertex.
 """
 
 from __future__ import annotations
@@ -23,13 +23,10 @@ from .result import GeodeticResult, finish
 
 
 def find_start(inst: Instance) -> int:
-    """Smallest-index degree-one vertex, else forced, else minimum degree."""
-    g = inst.graph
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            return v
+    """Lowest forced vertex, else the lowest vertex of minimum degree."""
     if inst.forced:
         return (inst.forced & -inst.forced).bit_length() - 1
+    g = inst.graph
     return min(range(g.n), key=lambda v: (g.degree(v), v))
 
 

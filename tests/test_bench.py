@@ -19,13 +19,13 @@ from helpers import count_builds
 
 # sha256 of the --no-timing CSV of each full scheme at seed base 0
 PINNED_CSV_SHA256 = {
-    "standard": "bf3c9f05d9b79afd5a0ffde690147c9ebc691bc329003fedf88d64490cd3282c",
+    "standard": "5af85169f355ec58b630d983ebbf443601b66396a0709e35e1df43384cb57205",
     "large": "980befe812200130931f0705b500e9253f846cd5754aedf3db23dd192fd8d357",
 }
 
 # sha256 of the greedy, add-one and local vertex sets, one line per result,
 # on ER/WS/BA at n=150, m=600, seeds 0-2
-PINNED_SETS_SHA256 = "0759a4d6c04487fa3b699ad016b0a6e2772fad0a17e4c31e39b7df83838e5685"
+PINNED_SETS_SHA256 = "8bd5ffc4684d4e9c447d43f1cb448af01ae5040b313783d369ccd4ad046a7790"
 
 # sha256 of exact's vertex sets, one line per cell, on every standard-scheme
 # cell with n <= 30 at seed base 0

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+import geodetic.cli
 import geodetic.intervals
 from geodetic.cli import main
+from geodetic.errors import GraphError
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import parse_edge_list, write_edge_list
 from geodetic.ilp import export_ilp
@@ -13,6 +15,18 @@ from helpers import count_builds
 
 P4_TEXT = "0 1\n1 2\n2 3\n"
 C6_TEXT = "0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
+
+
+def assert_cannot_write(capsys, path) -> None:
+    """One error line naming the path, and no traceback."""
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"Error: cannot write {path}: No such file or directory"]
+
+
+@pytest.fixture
+def unwritable(tmp_path):
+    """A path under a directory that does not exist."""
+    return str(tmp_path / "missing-dir" / "out")
 
 
 @pytest.fixture
@@ -65,6 +79,12 @@ class TestGenerate:
     def test_impossible_edge_count_is_data_error(self):
         code = main(["generate", "--family", "er", "--n", "12", "--edges", "5"])
         assert code == 2
+
+    def test_unwritable_output_is_usage_error(self, unwritable, capsys):
+        code = main(["generate", "--family", "er", "--n", "10", "--edges", "12",
+                     "-o", unwritable])
+        assert code == 1
+        assert_cannot_write(capsys, unwritable)
 
     @pytest.mark.parametrize("density", ["nan", "inf", "2"])
     def test_bad_density_is_data_error(self, density):
@@ -240,6 +260,10 @@ class TestExportIlp:
         assert main(["export-ilp", str(src)]) == 0
         assert (tmp_path / "g.lp").read_bytes() == export_ilp(g).encode()
 
+    def test_unwritable_output_is_usage_error(self, p4_file, unwritable, capsys):
+        assert main(["export-ilp", p4_file, "-o", unwritable]) == 1
+        assert_cannot_write(capsys, unwritable)
+
     def test_oversized_export_is_data_error(self, tmp_path, monkeypatch, capsys):
         # path 60's P(k) lists pass a 1 MiB cap; its table does not
         monkeypatch.setattr(geodetic.intervals, "TABLE_MEMORY_CAP", 1 << 20)
@@ -275,6 +299,27 @@ class TestBench:
                      "--no-timing", "--pretty", "-o", str(out)])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0].lstrip().startswith("family")
+
+    def test_unwritable_output_fails_before_any_cell(self, unwritable, monkeypatch,
+                                                     capsys):
+        ran = []
+        monkeypatch.setattr(geodetic.cli, "run_grid", lambda *a, **k: ran.append(a))
+        assert main(["bench", "--max-n", "10", "-o", unwritable]) == 1
+        assert ran == []
+        assert_cannot_write(capsys, unwritable)
+
+    @pytest.mark.parametrize("before", [None, "earlier rows\n"], ids=["new", "existing"])
+    def test_failed_run_leaves_the_path_as_it_was(self, tmp_path, monkeypatch, before):
+        out = tmp_path / "bench.csv"
+        if before is not None:
+            out.write_text(before)
+
+        def failing_grid(*args, **kwargs):
+            raise GraphError("no graph")
+
+        monkeypatch.setattr(geodetic.cli, "run_grid", failing_grid)
+        assert main(["bench", "--max-n", "10", "-o", str(out)]) == 2
+        assert (out.read_text() if out.exists() else None) == before
 
     def test_bad_jobs(self, tmp_path):
         assert main(["bench", "--jobs", "0", "-o", str(tmp_path / "x.csv")]) == 1

@@ -13,7 +13,7 @@ from geodetic.exact import (
     exact_geodetic,
 )
 from geodetic.generate import GenSpec, edge_count_for_density, generate
-from geodetic.greedy import greedy_geodetic
+from geodetic.greedy import greedy_cover, greedy_geodetic
 from geodetic.graph import Graph
 from geodetic.intervals import Instance, all_pairs_distances, interval_table, is_geodetic
 from helpers import (
@@ -235,11 +235,23 @@ class TestSearchLimits:
     def test_exhausted_budget_is_never_worse_than_greedy(self, family):
         inst = Instance.of(generate(GenSpec(family, 60, edge_count_for_density(60, 0.1),
                                             seed=1)))
-        assert inst.forced == 0  # so the forced-core fallback alone is all 60
+        assert inst.forced == 0  # the core plus what it leaves uncovered is all 60
         res = exact_geodetic(inst, SearchLimits(node_budget=2000))
         assert not res.optimal
         assert res.value <= greedy_geodetic(inst).value < 60
         assert is_geodetic(inst.table, mask_of(res.vertices))
+
+    @pytest.mark.parametrize("g", [
+        # forced core {3, 4} leaves 2 and 5 uncovered: the core plus those
+        # is as small as greedy's cover {0, 3, 4, 5} but another set
+        Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 5)]),
+        generate(GenSpec("BA", 30, 60, seed=1)),
+    ], ids=["n6-tie", "BA30"])
+    def test_exhausted_budget_returns_greedy_cover(self, g):
+        inst = Instance.of(g)
+        res = exact_geodetic(inst, SearchLimits(node_budget=1))
+        assert not res.optimal
+        assert mask_of(res.vertices) == greedy_cover(inst)
 
     def test_forced_shortcut_ignores_budget(self):
         # a path is decided by its endpoints before any search node opens

@@ -16,7 +16,6 @@ from geodetic.greedy import (
     greedy_geodetic,
     largest_increase,
     largest_increase_pair,
-    leaves,
     pair_bounds,
 )
 from geodetic.intervals import (
@@ -38,20 +37,20 @@ from helpers import (
 )
 
 
-def seeded_cover(g):
-    return Cover(interval_table(all_pairs_distances(g)), leaves(g))
+def seeded_cover(g, members=0):
+    return Cover(interval_table(all_pairs_distances(g)), members)
 
 
 class TestInit:
     def test_path_seeds_with_leaves(self):
-        cover = seeded_cover(path_graph(4))
+        cover = seeded_cover(path_graph(4), Instance.of(path_graph(4)).forced)
         assert cover.members == mask_of([0, 3])
         assert cover.coverage == full_mask(4)
         assert cover.coverage == closure(cover.table, cover.members)
 
     def test_cycle_starts_empty(self):
         t = interval_table(all_pairs_distances(cycle_graph(5)))
-        cover = Cover(t, leaves(cycle_graph(5)))
+        cover = Cover(t, Instance.of(cycle_graph(5)).forced)
         assert cover.members == 0
         assert cover.coverage == 0
         assert cover.table is t  # shared, not copied
@@ -72,14 +71,14 @@ class TestLargestIncrease:
         assert gain == mask_of([2])
 
     def test_no_candidates_left(self):
-        cover = seeded_cover(Graph(2, [(0, 1)]))
+        cover = seeded_cover(Graph(2, [(0, 1)]), 0b11)
         assert cover.members == 0b11
         assert largest_increase(cover) == (None, 0)
 
     @settings(max_examples=40)
     @given(connected_graphs(min_n=3, max_n=8))
     def test_gain_equals_closure_difference(self, g):
-        cover = seeded_cover(g)
+        cover = seeded_cover(g, Instance.of(g).forced)
         if cover.members == 0:
             cover.add(0)
         assert cover.coverage == closure(cover.table, cover.members)
@@ -98,7 +97,7 @@ class TestLargestIncreasePair:
         assert gain == mask_of([0, 1, 2])
 
     def test_too_few_candidates(self):
-        cover = seeded_cover(Graph(2, [(0, 1)]))
+        cover = seeded_cover(Graph(2, [(0, 1)]), 0b11)
         assert largest_increase_pair(cover, pair_bounds(cover)) == (None, None, 0)
 
     def test_pair_gain_covers_both_endpoints(self):
@@ -172,6 +171,33 @@ class TestGreedyGeodetic:
                 assert is_geodetic(t, mask_of(res.vertices))
 
 
+def core_bound(inst: Instance) -> int:
+    """|forced | U|: the forced core plus every vertex it leaves uncovered."""
+    uncovered = full_mask(inst.n) & ~Cover(inst.table, inst.forced).coverage
+    return (inst.forced | uncovered).bit_count()
+
+
+class TestCoreBound:
+    """Each pick covers at least one new vertex per member it adds."""
+
+    def test_seeds_from_the_forced_core(self):
+        # 1, 2 and 3 are simplicial, of degree 2, 2 and 3, and their closure
+        # is the whole graph; no vertex has degree <= 1
+        g = Graph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 4), (2, 4), (2, 5),
+                      (3, 4), (3, 5), (4, 5)])
+        inst = Instance.of(g)
+        assert inst.forced == mask_of([1, 2, 3]) and core_bound(inst) == 3
+        for add_one in (False, True):
+            assert greedy_cover(inst, add_one) == inst.forced
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(min_n=1, max_n=12))
+    def test_never_larger_than_core_plus_uncovered(self, g):
+        inst = Instance.of(g)
+        for add_one in (False, True):
+            assert greedy_cover(inst, add_one).bit_count() <= core_bound(inst)
+
+
 @st.composite
 def graphs_with_and_without_leaves(draw) -> Graph:
     """A connected graph, or the same graph closed into a Hamiltonian cycle
@@ -219,7 +245,7 @@ class TestPrunedPairScan:
         assert greedy_cover(inst, add_one=True) == oracle_cover(inst, add_one=True)
 
     def test_stale_bounds_start_at_the_pristine_intervals(self):
-        cover = seeded_cover(path_graph(5))  # members 0 and 4
+        cover = seeded_cover(path_graph(5), mask_of([0, 4]))
         stale = pair_bounds(cover)
         assert stale.dtype == np.int16
         assert stale[1, 3] == cover.table[1][3].bit_count() == 3

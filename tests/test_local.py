@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from geodetic.bitset import full_mask, mask_of
+from geodetic.bitset import full_mask, mask_of, vertices_of
 from geodetic.errors import ValidationError
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
@@ -36,10 +36,19 @@ class TestFindStart:
     def test_cycle_falls_back_to_min_degree(self):
         assert find_start(Instance.of(cycle_graph(6))) == 0
 
-    def test_prefers_degree_one_over_earlier_simplicial(self):
-        # 0-1-2 triangle with a pendant 3 on vertex 2: 3 has degree one
+    def test_prefers_earlier_simplicial_over_degree_one(self):
+        # 0-1-2 triangle with a pendant 3 on vertex 2: 0, 1 and 3 are forced
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert find_start(Instance.of(g)) == 3
+        assert find_start(Instance.of(g)) == 0
+
+    @settings(max_examples=60)
+    @given(connected_graphs(min_n=1, max_n=10))
+    def test_lowest_forced_vertex_when_the_core_is_not_empty(self, g):
+        inst = Instance.of(g)
+        if inst.forced:
+            assert find_start(inst) == min(vertices_of(inst.forced))
+        else:
+            assert g.degree(find_start(inst)) == min(map(g.degree, range(g.n)))
 
 
 class TestLargestLocalIncrease:
