@@ -15,14 +15,19 @@ are forced to 0 whenever x_k is, so they are harmless and keep the rows
 uniform.  Output ordering is fixed (k ascending, pairs lexicographic), so a
 re-export is byte-identical.
 
-The renderer keeps its per-term work in C string routines: each x and y
-variable is named once per export, a covering row is one " + ".join of those
-names, and _wrap breaks it at the last " + " that fits, by str.rfind on the
-first line and one compiled pattern on the rest.  The linking rows and the
-Binary section are joined from per-i templates with j's digits in between.
-lp_rows yields the text in whole-line pieces: render_lp joins them into one
-string, and the CLI writes them to its file as they come, so it holds the
-model and the variable names but never the whole text.
+pk_table names each pair by its index in the lexicographic pair list, and
+each P(k) is an int32 array of those indices.  An entry is four bytes and no
+Python object, and the renderer never hashes a pair: it names every y
+variable once, in an array in pair-index order, and gathers a covering row's
+names with one numpy index, ys[pk[k]].  The rest of its per-term work is
+in C string routines too: a covering row is one " + ".join of those names,
+and _wrap breaks it at the last " + " that fits, by str.rfind on the first
+line and one compiled pattern on the rest.  The linking rows are joined from
+per-i templates with j's digits in between, and the Binary section is one
+join over all the names.  lp_rows yields the text in whole-line pieces:
+render_lp joins them into one string, and the CLI writes them to its file as
+they come, so it holds the model and the variable names but never the whole
+text.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
+
+import numpy as np
 
 from .graph import Graph, require_connected
 from .intervals import all_pairs_distances, pk_table, require_table_fits
@@ -44,7 +51,7 @@ _CONTINUATION = re.compile(rf"(.{{1,{_WRAP_COLUMN - 3}}})(?: \+ |$)")
 @dataclass(frozen=True)
 class IlpModel:
     n: int
-    pk: tuple[tuple[tuple[int, int], ...], ...]  # pk[k]: the pairs P(k), from pk_table
+    pk: tuple[np.ndarray, ...]  # pk[k]: pair indices of P(k), from pk_table
 
     @property
     def variable_count(self) -> int:
@@ -80,14 +87,15 @@ def lp_rows(model: IlpModel) -> Iterator[str]:
     n = model.n
     ids = list(map(str, range(n)))
     xs = ["x" + k for k in ids]
-    ys: dict[tuple[int, int], str] = {}  # (i, j) -> "y{i}_{j}", keys equal to pk's pairs
-    for i in range(n):
-        ys.update(zip(zip(repeat(i), range(i + 1, n)), map(f"y{i}_".__add__, ids[i + 1:])))
+    names: list[str] = []
+    for i in range(n - 1):
+        names += map(f"y{i}_".__add__, ids[i + 1:])
+    ys = np.array(names, dtype=object)  # ys[p]: "y{i}_{j}" for the pair p indexes in pk
     yield "Minimize\n"
     yield _wrap(" obj: " + " + ".join(xs)) + "\n"
     yield "Subject To\n"
     for k in range(n):
-        terms = list(map(ys.__getitem__, model.pk[k]))
+        terms = ys[model.pk[k]].tolist()
         terms.append(xs[k])
         yield _wrap(f" cover{k}: " + " + ".join(terms)) + " >= 1\n"
     for i in range(n - 1):
@@ -96,9 +104,7 @@ def lp_rows(model: IlpModel) -> Iterator[str]:
                  " - x", f" <= 0\n mc3_{i}_", f": x{i} + x", f" - y{i}_", " <= 1\n")
         yield "".join(map(str.join, ids[i + 1:], repeat(parts)))
     yield "Binary\n"
-    yield " " + "\n ".join(xs) + "\n"
-    for i in range(n - 1):
-        yield f" y{i}_" + f"\n y{i}_".join(ids[i + 1:]) + "\n"
+    yield " " + "\n ".join(xs + names) + "\n"
     yield "End\n"
 
 

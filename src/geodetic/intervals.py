@@ -31,11 +31,13 @@ from .graph import Graph, require_connected
 TABLE_MEMORY_CAP = 4 << 30
 
 # Peak memory allowed per P(k) entry of an LP export.  On paths with
-# n = 200-400 (CPython 3.11, 64-bit Linux), peak RSS grows by 10-12 bytes per
-# entry for `geodetic export-ilp`, which streams its rows to the file, and by
-# 32-35 for export_ilp, which returns the text as one string.  56, measured
-# before the rows were streamed (55-58 then), bounds both.
-PK_ENTRY_BYTES = 56
+# n = 200-400 (CPython 3.11, 64-bit Linux; fresh process, ru_maxrss minus the
+# same command on P3), peak RSS grows by 5.0-5.7 bytes per entry for
+# `geodetic export-ilp`, which streams its rows to the file, and by 27.5-28.9
+# for export_ilp, which returns the text as one string.  32 bounds both with
+# about 10% to spare.  It admits paths up to 929 vertices, whose ids have at
+# most three digits, as at n = 400, so the terms are no longer than measured.
+PK_ENTRY_BYTES = 32
 
 
 def table_bytes(n: int) -> int:
@@ -171,26 +173,30 @@ class Instance:
         return cls(x, dist, interval_table(dist), forced)
 
 
-def pk_table(d: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each vertex k, the pairs (i, j), i < j, whose interval contains k.
+def pk_table(d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each vertex k, the pairs i < j whose interval contains k.
 
-    Every P(k) holds the same (i, j) tuple objects, built once.  A path has
-    about n^3 / 6 entries, so this raises ValidationError as soon as the
-    entries so far, at PK_ENTRY_BYTES each, pass TABLE_MEMORY_CAP.
+    A pair is named by its index in the lexicographic pair list, which is
+    also the row-major order of the upper triangle: (0, 1), (0, 2), ...,
+    (n - 2, n - 1).  Each P(k) is an ascending, read-only int32 array of
+    those indices (int32 holds C(n, 2) up to n = 65536, far past the table
+    cap), so an entry costs four bytes and no Python object, and the LP
+    renderer looks each pair's name up by index.  A path has about
+    n^3 / 6 entries, so this raises ValidationError as soon as the entries
+    so far, at PK_ENTRY_BYTES each, pass TABLE_MEMORY_CAP.
     """
     n = len(d)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)  # row-major order is lexicographic
-    iu, ju = np.nonzero(upper)
-    pairs = list(zip(iu.tolist(), ju.tolist()))
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    span = d[upper]
     per_k = []
     entries = 0
     for k in range(n):
-        member = (d[:, k, None] + d[k, None, :]) == d
-        hits = np.flatnonzero(member[upper]).tolist()
+        hits = np.flatnonzero((d[:, k, None] + d[k, None, :])[upper] == span).astype(np.int32)
         entries += len(hits)
         if entries * PK_ENTRY_BYTES > TABLE_MEMORY_CAP:
             raise ValidationError(
                 f"P(k) lists for n={n} pass {entries} entries, over the "
                 f"{TABLE_MEMORY_CAP / 2**30:g} GiB cap at {PK_ENTRY_BYTES} bytes each")
-        per_k.append(tuple(map(pairs.__getitem__, hits)))
+        hits.setflags(write=False)
+        per_k.append(hits)
     return tuple(per_k)

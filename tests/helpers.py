@@ -75,6 +75,18 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
+def relabeled(g: Graph, perm: list[int]) -> Graph:
+    """g with every vertex v renamed perm[v]: the same graph up to isomorphism."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def relabeled_pairs(draw, min_n: int = 2, max_n: int = 9) -> tuple[Graph, Graph]:
+    """A connected graph and a copy relabeled by a random permutation."""
+    g = draw(connected_graphs(min_n, max_n))
+    return g, relabeled(g, draw(st.permutations(range(g.n))))
+
+
 def leaf_count(g: Graph) -> int:
     return sum(g.degree(v) == 1 for v in range(g.n))
 

@@ -28,6 +28,7 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_tree,
+    relabeled_pairs,
     star_graph,
 )
 
@@ -123,6 +124,14 @@ class TestExact:
     @given(connected_graphs(min_n=2, max_n=8))
     def test_matches_brute_force(self, g):
         assert exact_geodetic(g).value == brute_force_geodetic(g).value
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabeled_pairs(min_n=2, max_n=12))
+    def test_value_survives_relabeling(self, pair):
+        g, h = pair
+        value = exact_geodetic(g).value
+        assert exact_geodetic(h).value == value
+        assert brute_force_geodetic(g).value == brute_force_geodetic(h).value == value
 
     @pytest.mark.parametrize("family", ["ER", "WS", "BA"])
     def test_matches_brute_force_on_generated(self, family):

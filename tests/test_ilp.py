@@ -3,7 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import geodetic.intervals
 from geodetic.errors import ValidationError
@@ -11,7 +12,14 @@ from geodetic.exact import exact_geodetic
 from geodetic.generate import GenSpec, benchmark_grid, generate
 from geodetic.graph import Graph
 from geodetic.ilp import IlpModel, build_model, export_ilp, render_lp
-from helpers import complete_graph, connected_graphs, cycle_graph, path_graph, star_graph
+from helpers import (
+    complete_graph,
+    connected_graphs,
+    cycle_graph,
+    path_graph,
+    relabeled,
+    star_graph,
+)
 
 # sha256 of export_ilp over every standard-scheme cell with n <= 30 at seed
 # base 0, then P60, C150 and the star K1,39, whose rows wrap many times
@@ -82,7 +90,8 @@ def reference_lp(model: IlpModel) -> str:
     emit(" obj: ", [f"x{k}" for k in range(n)], "")
     lines.append("Subject To")
     for k in range(n):
-        emit(f" cover{k}: ", [f"y{i}_{j}" for i, j in model.pk[k]] + [f"x{k}"], " >= 1")
+        emit(f" cover{k}: ", [f"y{i}_{j}" for i, j in map(pairs.__getitem__, model.pk[k])]
+             + [f"x{k}"], " >= 1")
     for i, j in pairs:
         lines += [f" mc1_{i}_{j}: y{i}_{j} - x{i} <= 0", f" mc2_{i}_{j}: y{i}_{j} - x{j} <= 0",
                   f" mc3_{i}_{j}: x{i} + x{j} - y{i}_{j} <= 1"]
@@ -165,12 +174,14 @@ class TestRender:
     def test_cover_row_matches_pair_table(self):
         g = cycle_graph(6)
         model = build_model(g)
+        pairs = list(itertools.combinations(range(g.n), 2))
         text = unwrap(render_lp(model))
         for k in range(g.n):
             row = next(l for l in text.splitlines()
                        if l.startswith(f" cover{k}: "))
             terms = row.split(": ")[1].split(" >= ")[0].split(" + ")
-            assert terms == [f"y{i}_{j}" for i, j in model.pk[k]] + [f"x{k}"]
+            assert terms == ([f"y{i}_{j}" for i, j in map(pairs.__getitem__, model.pk[k])]
+                             + [f"x{k}"])
 
 
 class TestMemoryCap:
@@ -187,7 +198,8 @@ def milp_optimum(model: IlpModel) -> int:
     """Optimum of the 0-1 program by scipy's MILP solver, rows built from model.pk."""
     opt = pytest.importorskip("scipy.optimize")
     n = model.n
-    column = {pair: n + pos for pos, pair in enumerate(itertools.combinations(range(n), 2))}
+    pairs = list(itertools.combinations(range(n), 2))
+    column = {pair: n + pos for pos, pair in enumerate(pairs)}
     rows, lower, upper = [], [], []
 
     def add_row(coefs: dict[int, int], lo: float, hi: float) -> None:
@@ -199,7 +211,7 @@ def milp_optimum(model: IlpModel) -> int:
         upper.append(hi)
 
     for k in range(n):
-        add_row({**{column[pair]: 1 for pair in model.pk[k]}, k: 1}, 1, np.inf)
+        add_row({**{column[pairs[p]]: 1 for p in model.pk[k]}, k: 1}, 1, np.inf)
     for (i, j), y in column.items():
         add_row({y: 1, i: -1}, -np.inf, 0)
         add_row({y: 1, j: -1}, -np.inf, 0)
@@ -217,3 +229,13 @@ def milp_optimum(model: IlpModel) -> int:
 def test_milp_optimum_matches_exact(spec):
     g = generate(spec)
     assert milp_optimum(build_model(g)) == exact_geodetic(g).value
+
+
+@pytest.mark.parametrize("spec", [s for s in benchmark_grid("standard") if s.n == 10],
+                         ids=lambda s: f"{s.family}-m{s.m_target}-s{s.seed}")
+@settings(max_examples=2, deadline=None)
+@given(perm=st.permutations(range(10)))
+def test_milp_optimum_survives_relabeling(spec, perm):
+    assume(perm != sorted(perm))
+    g = generate(spec)
+    assert milp_optimum(build_model(relabeled(g, perm))) == exact_geodetic(g).value

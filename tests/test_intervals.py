@@ -212,22 +212,32 @@ class TestCover:
         assert cover.table is t
 
 
+def decoded(pk: tuple[np.ndarray, ...], n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Each P(k) as (i, j) tuples, decoding pair indices by the lexicographic pair list."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [tuple(map(pairs.__getitem__, hits)) for hits in pk]
+
+
 class TestPkTable:
     def test_path_middle_vertex(self):
         pk = pk_table(all_pairs_distances(path_graph(3)))
-        assert pk[1] == ((0, 1), (0, 2), (1, 2))
+        assert decoded(pk, 3)[1] == ((0, 1), (0, 2), (1, 2))
 
-    def test_pairs_shared_across_vertices(self):
-        # (0, 2) spans the path, so it is in every P(k), as one tuple object
-        pk = pk_table(all_pairs_distances(path_graph(3)))
-        assert pk[0][1] is pk[1][1] is pk[2][0] == (0, 2)
+    def test_ascending_read_only_int32_indices(self):
+        for g in (path_graph(3), cycle_graph(7), petersen_graph()):
+            pair_count = g.n * (g.n - 1) // 2
+            for hits in pk_table(all_pairs_distances(g)):
+                assert hits.dtype == np.int32
+                assert not hits.flags.writeable
+                assert (np.diff(hits) > 0).all()
+                assert 0 <= hits.min() and hits.max() < pair_count
 
     def test_triangle_vertex_zero(self):
         pk = pk_table(all_pairs_distances(complete_graph(3)))
-        assert pk[0] == ((0, 1), (0, 2))
+        assert decoded(pk, 3)[0] == ((0, 1), (0, 2))
 
     def test_endpoint_pairs_included(self):
-        pk = pk_table(all_pairs_distances(cycle_graph(4)))
+        pk = decoded(pk_table(all_pairs_distances(cycle_graph(4))), 4)
         for k in range(4):
             endpoint_pairs = {(min(k, o), max(k, o)) for o in range(4) if o != k}
             assert endpoint_pairs <= set(pk[k])
@@ -235,12 +245,22 @@ class TestPkTable:
     @settings(max_examples=40)
     @given(connected_graphs(max_n=7))
     def test_matches_oracle(self, g):
-        pk = pk_table(all_pairs_distances(g))
+        pk = decoded(pk_table(all_pairs_distances(g)), g.n)
         for k in range(g.n):
             expect = tuple(
                 (i, j) for i, j in itertools.combinations(range(g.n), 2)
                 if k in oracle_interval(g, i, j))
             assert pk[k] == expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(min_n=1, max_n=12))
+    def test_matches_interval_table(self, g):
+        # the two builders of the same membership data must agree
+        inst = Instance.of(g)
+        pk = decoded(pk_table(inst.dist), g.n)
+        for k in range(g.n):
+            assert set(pk[k]) == {(i, j) for i, j in itertools.combinations(range(g.n), 2)
+                                  if inst.table[i][j] >> k & 1}
 
 
 def networkx_intervals(g: Graph) -> dict[tuple[int, int], set[int]]:
@@ -266,7 +286,7 @@ class TestNetworkxOracle:
 
     def test_pk_table(self, g):
         intervals = networkx_intervals(g)
-        pk = pk_table(all_pairs_distances(g))
+        pk = decoded(pk_table(all_pairs_distances(g)), g.n)
         for k in range(g.n):
             assert pk[k] == tuple((i, j) for i, j in itertools.combinations(range(g.n), 2)
                                   if k in intervals[i, j])
