@@ -7,14 +7,14 @@ graphs beyond a small size cap.
 exact_geodetic exploits two facts.  The forced core (Instance.forced: the
 degree-one and simplicial vertices, never interior to a shortest path)
 belongs to every geodetic set and is fixed up front.  Completing that core
-is then a search over candidate subsets in increasing total size, with a
-conservative potential bound checked before every branch: candidates are
-sorted by gain, and the search stops trying first picks at position pos
-once even the most optimistic completion from there (the sum of the
-largest gains at pos and beyond plus full credit for the biggest residual
-pair interval on every future pair) cannot cover the remaining vertices.
-The same rule prunes at every depth; the last two picks have no special
-case.
+is then a search over candidate subsets in increasing total size, with
+candidates sorted by gain and one admissible bound (completion_reach)
+checked before every branch.  With U the uncovered vertices, picks T add
+at most the sum of g(a), a's own gain, plus the sum over pairs of
+p(a, b) = |I(a, b) & U|.  Each pair's p sits in both of its picks' rows, so
+half the sum of caps 2 g(a) + (the slots - 1 largest p(a, .)) bounds what T
+adds.  First picks stop at the first position where the `slots` largest
+caps from there on sum to less than 2|U|, at every depth alike.
 Optional wall-clock and node budgets stop the search early.  On expiry the
 result is the greedy cover (greedy_cover) of the same instance, flagged
 non-optimal; it is built before the search starts, so greedy's run time
@@ -23,6 +23,7 @@ counts against a time budget.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -53,6 +54,30 @@ class SearchLimits:
 
 class _BudgetExhausted(Exception):
     pass
+
+
+def completion_reach(table: list[list[int]], scored: list[tuple[int, int]],
+                     uncov_mask: int, slots: int) -> list[int]:
+    """reach[pos] is at least twice what up to `slots` picks from scored[pos:] add.
+
+    scored holds (gain, vertex) pairs, gains masked by uncov_mask (U).  For
+    picks T, 2 * sum_{a<b in T} p(a, b) = sum_{a in T} sum_{b in T - a} p(a, b),
+    and each inner sum is at most the slots - 1 largest p(a, .).
+    """
+    vertices = [v for _, v in scored]
+    m = len(vertices)
+    counts = [(row[b] & uncov_mask).bit_count()  # p(a, b) at counts[pos(a) * m + pos(b)]
+              for row in map(table.__getitem__, vertices) for b in vertices]
+    reach, top = [], []  # top: min-heap of the `slots` largest caps from pos on
+    for pos in range(m - 1, -1, -1):
+        pairs = counts[pos * m:pos * m + m]
+        pairs[pos] = 0
+        pairs.sort()
+        heapq.heappush(top, 2 * scored[pos][0].bit_count() + sum(pairs[1 - slots:]))
+        if len(top) > slots:
+            heapq.heappop(top)
+        reach.append(sum(top))
+    return reach[::-1]
 
 
 def brute_force_geodetic(x: Graph | Instance) -> GeodeticResult:
@@ -91,11 +116,6 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
     nodes = 0
 
     candidates = [v for v in range(n) if not (forced >> v) & 1]
-    # candidate pairs by pristine interval size, biggest first, for the bound
-    pair_order = sorted(
-        ((table[i][j].bit_count(), i, j)
-         for pos, i in enumerate(candidates) for j in candidates[pos + 1:]),
-        reverse=True)
 
     def tick() -> None:
         nonlocal nodes
@@ -104,18 +124,6 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
             raise _BudgetExhausted
         if deadline is not None and time.perf_counter() > deadline:
             raise _BudgetExhausted
-
-    def best_pair_gain(rem_mask: int, uncov_mask: int) -> int:
-        """Largest residual pair-interval size among the remaining candidates."""
-        best = 0
-        for size, i, j in pair_order:
-            if size <= best:
-                break  # sorted by pristine size: nothing later can beat it
-            if (rem_mask >> i) & 1 and (rem_mask >> j) & 1:
-                masked = (table[i][j] & uncov_mask).bit_count()
-                if masked > best:
-                    best = masked
-        return best
 
     def search(items: list[tuple[int, int]], row: list[int], cover: int,
                slots: int) -> int | None:
@@ -141,19 +149,10 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
         scored = sorted(
             (((gain | row[i]) & uncov_mask, i) for gain, i in items),
             key=lambda t: (-t[0].bit_count(), t[1]))
-        counts = [gain.bit_count() for gain, _ in scored]
-        credit = None  # pair credit, computed at most once per node
+        reach = completion_reach(table, scored, uncov_mask, slots)
         for pos, (gain, i) in enumerate(scored):
-            # a completion whose first pick sits at pos or later gains at most
-            # the `slots` counts from pos on, plus the best residual pair
-            # interval for each of its pairs
-            top = sum(counts[pos:pos + slots])
-            if top < uncovered:
-                if credit is None:
-                    rem_mask = mask_of(v for _, v in items)
-                    credit = slots * (slots - 1) // 2 * best_pair_gain(rem_mask, uncov_mask)
-                if top + credit < uncovered:
-                    return None  # gains sorted: no later first pick does better
+            if reach[pos] < 2 * uncovered:
+                return None  # reach only falls as pos grows
             found = search(scored[pos + 1:], table[i], cover | gain, slots - 1)
             if found is not None:
                 return found | (1 << i)

@@ -1,21 +1,31 @@
+import itertools
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geodetic.exact
-from geodetic.bitset import mask_of
+from geodetic.bitset import full_mask, mask_of
 from geodetic.errors import ValidationError
 from geodetic.exact import (
     BRUTE_FORCE_MAX_N,
     SearchLimits,
     brute_force_geodetic,
+    completion_reach,
     exact_geodetic,
 )
 from geodetic.generate import GenSpec, edge_count_for_density, generate
 from geodetic.greedy import greedy_cover, greedy_geodetic
 from geodetic.graph import Graph
-from geodetic.intervals import Instance, all_pairs_distances, interval_table, is_geodetic
+from geodetic.intervals import (
+    Cover,
+    Instance,
+    all_pairs_distances,
+    closure,
+    interval_table,
+    is_geodetic,
+)
 from helpers import (
     complete_bipartite_graph,
     complete_graph,
@@ -145,6 +155,27 @@ class TestExact:
             exact_geodetic(Graph(4, [(0, 1), (2, 3)]))
 
 
+class TestCompletionReach:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(max_n=9), st.integers(2, 4), st.data())
+    def test_admissible_against_brute_force(self, g, slots, data):
+        table = Instance.of(g).table
+        members = data.draw(st.sets(st.integers(0, g.n - 1)))
+        cover = Cover(table, mask_of(members))
+        uncov_mask = full_mask(g.n) & ~cover.coverage
+        scored = sorted((((cover.gains[v] | 1 << v) & uncov_mask, v)
+                         for v in range(g.n) if v not in members),
+                        key=lambda t: (-t[0].bit_count(), t[1]))  # the search's order
+        reach = completion_reach(table, scored, uncov_mask, slots)
+        assert len(reach) == len(scored)
+        for pos in range(len(scored)):
+            rest = [v for _, v in scored[pos:]]
+            for size in range(1, slots + 1):
+                for picks in itertools.combinations(rest, size):
+                    added = closure(table, cover.members | mask_of(picks)) & uncov_mask
+                    assert 2 * added.bit_count() <= reach[pos]
+
+
 # Each family's builder and the closed form of its geodetic number, a function
 # of the builder's arguments (Chartrand, Harary & Zhang, Networks 39 (2002)).
 KNOWN_FAMILIES = {
@@ -261,6 +292,13 @@ class TestSearchLimits:
         res = exact_geodetic(inst, SearchLimits(node_budget=1))
         assert not res.optimal
         assert mask_of(res.vertices) == greedy_cover(inst)
+
+    def test_pair_bound_proves_within_node_budget(self):
+        # proved in 6,133 nodes; a bound that credits every future pair with
+        # the largest residual pair interval needs 14,099
+        g = generate(GenSpec("BA", 30, edge_count_for_density(30, 0.2), seed=3))
+        res = exact_geodetic(g, SearchLimits(node_budget=10_000))
+        assert (res.optimal, res.value) == (True, 9)
 
     def test_forced_shortcut_ignores_budget(self):
         # a path is decided by its endpoints before any search node opens

@@ -185,7 +185,7 @@ class TestRender:
 
 
 class TestMemoryCap:
-    # path 60: its table (~95 kB) is under 1 MiB, its 37,820 P(k) entries
+    # path 60: its table (~95 kB) is under 1 MiB, its 37,760 P(k) entries
     # are not; the table estimate alone is over 64 kB
     @pytest.mark.parametrize("cap", [1 << 20, 1 << 16])
     def test_oversized_export_is_rejected(self, monkeypatch, cap):
