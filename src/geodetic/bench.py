@@ -52,6 +52,7 @@ def run_cell(spec: GenSpec, config: BenchConfig) -> BenchRecord:
     """Solve one cell; the solvers share one instance, built off their clocks."""
     g = generate(spec)
     inst = Instance.of(g)
+    inst.table  # greedy reads the whole table: build it off every clock too
     greedy = greedy_geodetic(inst)
     addone = greedy_geodetic(inst, add_one=True)
     local = locally_greedy_geodetic(inst)

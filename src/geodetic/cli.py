@@ -138,7 +138,8 @@ def _solve_lines(g: Graph | Instance, algorithm: str,
         lines.append(f"{'diameter-bound':<16}{diameter_bound(dist):>8}")
         return lines
     if algorithm == "all":
-        g = Instance.of(g)  # one shared build, outside every solver's clock
+        g = Instance.of(g)  # one shared build, outside every solver's clock;
+        g.table             # exact and greedy read the whole table
     if algorithm == "brute" and g.n > BRUTE_FORCE_MAX_N:
         raise UsageError(
             f"brute force is capped at n={BRUTE_FORCE_MAX_N} (got n={g.n}); "
@@ -244,7 +245,7 @@ def verify(graph_file, vertices, one_based):
                 f"vertex {v} out of range {base}..{g.n - 1 + base} for n={g.n}")
     vs = [v - base for v in vertices]
     with _translated_errors():
-        covered = closure(Instance.of(g).table, mask_of(vs))
+        covered = closure(Instance.of(g).rows, mask_of(vs))
     verdict = "geodetic" if covered == full_mask(g.n) else "not geodetic"
     click.echo(f"{verdict}: closure covers {covered.bit_count()} of {g.n} vertices")
 

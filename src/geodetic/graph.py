@@ -71,20 +71,31 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches all n vertices."""
+def bfs_depth(g: Graph) -> int | None:
+    """Depth of a BFS from vertex 0, which is vertex 0's eccentricity, or
+    None when the BFS leaves some vertex unreached."""
     seen = bytearray(g.n)
     seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == g.n
+    frontier = [0]
+    reached = 1
+    depth = 0
+    while True:
+        found = []
+        for u in frontier:
+            for v in g.adj[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    found.append(v)
+        if not found:
+            return depth if reached == g.n else None
+        reached += len(found)
+        depth += 1
+        frontier = found
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff a BFS from vertex 0 reaches all n vertices."""
+    return bfs_depth(g) is not None
 
 
 def require_connected(g: Graph) -> None:

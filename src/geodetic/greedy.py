@@ -1,11 +1,12 @@
 """Greedy interval-covering upper bound on the geodetic number.
 
-The chosen set grows through one Cover over the shared interval table: its
-gains[i] is already the union of I(s, i) over the members s, so a round
-reads each candidate's new coverage off the gains, masked once with the
-complement of the current coverage, and never revisits the members.  Each
-round scores the best single vertex and the best vertex pair, then takes the
-single vertex when its gain beats half the pair gain, otherwise the pair.
+The chosen set grows through one Cover over the shared interval table (over
+the rows it reads, for add-one): its gains[i] is already the union of
+I(s, i) over the members s, so a round reads each candidate's new coverage
+off the gains, masked once with the complement of the current coverage, and
+never revisits the members.  Each round scores the best single vertex and
+the best vertex pair, then takes the single vertex when its gain beats half
+the pair gain, otherwise the pair.
 Add-one is one such round followed by grow, which adds the best single
 vertex until no vertex adds coverage; locally greedy runs grow too.
 
@@ -72,19 +73,30 @@ def largest_increase(cover: Cover) -> tuple[int | None, int]:
     return best_v, best_gain
 
 
-def pair_bounds(cover: Cover) -> np.ndarray:
+def pair_bounds(inst: Instance, members: int) -> np.ndarray:
     """Fresh stale matrix: |I(i, j)| for candidate pairs i < j, NO_PAIR elsewhere.
 
-    The lower triangle, the diagonal and every member's row and column hold
-    NO_PAIR, so their bounds stay negative and no scan ever picks them.
+    Once the instance's table is built, |I(i, j)| is the bit count of its
+    mask.  Before that it is the number of k with d(i, k) + d(k, j) = d(i, j),
+    counted in numpy from the distances one row of pairs at a time, so no
+    mask is built: n^3 / 2 byte compares, cheaper than building the table
+    but dearer than n^2 / 2 bit counts.  The lower triangle, the diagonal and
+    the row and column of every vertex in members hold NO_PAIR, so their
+    bounds stay negative and no scan ever picks them.
     """
-    table = cover.table
-    n = len(table)
+    n = inst.n
     stale = np.full((n, n), NO_PAIR, dtype=np.int16)
-    for i, row in enumerate(table):
-        stale[i, i + 1:] = np.fromiter(map(int.bit_count, row[i + 1:]),
-                                       dtype=np.int16, count=n - i - 1)
-    for v in vertices_of(cover.members):
+    if inst.rows.whole is not None:
+        for i, row in enumerate(inst.rows.whole):
+            stale[i, i + 1:] = np.fromiter(map(int.bit_count, row[i + 1:]),
+                                           dtype=np.int16, count=n - i - 1)
+    else:
+        dist = inst.dist
+        for i in range(n - 1):
+            di = dist[i]
+            on_path = (di + dist[i + 1:]) == di[i + 1:, None]  # [j - i - 1, k]
+            stale[i, i + 1:] = on_path.sum(axis=1, dtype=np.int16)
+    for v in vertices_of(members):
         exclude(stale, v)
     return stale
 
@@ -153,9 +165,13 @@ def grow(cover: Cover) -> int:
 
 
 def greedy_cover(inst: Instance, add_one: bool = False) -> int:
-    """Run the covering loop to completion and return the member mask."""
-    cover = Cover(inst.table, inst.forced)
-    stale = pair_bounds(cover)
+    """Run the covering loop to completion and return the member mask.
+
+    The full loop's pair scans read most of the table, so it builds the
+    table; add-one's single pair round and grow read the rows they touch.
+    """
+    cover = Cover(inst.rows if add_one else inst.table, inst.forced)
+    stale = pair_bounds(inst, cover.members)
     while True:
         ell, gain_single = largest_increase(cover)
         pk, ph, gain_pair = largest_increase_pair(cover, stale)

@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph, require_connected
+from .graph import Graph
 from .intervals import all_pairs_distances, pk_table, require_table_fits
 
 _WRAP_COLUMN = 72
@@ -64,7 +64,6 @@ class IlpModel:
 
 def build_model(g: Graph) -> IlpModel:
     require_table_fits(g.n)
-    require_connected(g)
     return IlpModel(n=g.n, pk=pk_table(all_pairs_distances(g)))
 
 

@@ -6,8 +6,13 @@ exactly when d(i, k) + d(k, j) = d(i, j), which is how the table is built
 from the distance matrix.  Intervals are integer bitmasks in a plain square
 list of lists, read in place as table[i][j]; the two orientations of a pair
 share one int object.  An Instance bundles a connected graph with its
-distances, table and forced core (the vertices inside no shortest path,
-which every geodetic set contains) so that several solvers share one build.
+distances and forced core (the vertices inside no shortest path, which every
+geodetic set contains) so that several solvers share one build.  Its table
+is built on first read, at most once; its rows give row v alone (one n x n
+compare, interval_row) until the table exists, and the table's own rows
+after.  Greedy, exact and brute force read the table; locally greedy,
+add-one, the final check of every result and `geodetic verify` read only
+the rows of the vertices they pick.
 
 A Cover is a vertex set grown one vertex at a time, with its closure and,
 for every vertex j, the union of I(s, j) over the members s.  Greedy, add-one,
@@ -19,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import or_
+from operator import itemgetter, or_
 
 import numpy as np
 
 from .bitset import full_mask, mask_of, vertices_of
 from .errors import ValidationError
-from .graph import Graph, require_connected
+from .graph import Graph, bfs_depth
 
 # Largest interval table Instance.of will build, in estimated bytes.
 TABLE_MEMORY_CAP = 4 << 30
@@ -59,24 +64,43 @@ def require_table_fits(n: int) -> None:
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """Floyd-Warshall over hop counts, one vectorized relaxation per pivot.
 
-    Returns a read-only (n, n) array of hop distances in the narrowest
-    unsigned dtype that holds 2n + 2: uint8 up to n = 126, uint16 beyond.
-    Unreached pairs hold the sentinel n + 1, and a relaxation adds two
-    entries, so the sum of two sentinels must not wrap.  Floyd-Warshall is
-    memory-bound, so the narrow dtype is what makes it fast; the interval
-    and P(k) builds, which add rows of it, get faster too.
+    One BFS from vertex 0 comes first: it rejects a disconnected graph before
+    the n^2 allocation, and its depth e bounds every distance by
+    min(n - 1, 2e).  Unreached pairs start at the sentinel min(n, 2e) + 1,
+    above every distance, and a relaxation adds two entries, so the array
+    takes the narrowest unsigned dtype that holds two sentinels: uint8
+    whenever e <= 63 (at any n) or n <= 126, and uint16 beyond.
+    Returns the read-only (n, n) array.  Floyd-Warshall is memory-bound, so
+    the narrow dtype is what makes it fast; the interval and P(k) builds,
+    which add rows of it, get faster too.
     """
     n = g.n
-    d = np.full((n, n), n + 1, dtype=np.min_scalar_type(2 * n + 2))
+    depth = bfs_depth(g)
+    if depth is None:
+        raise ValidationError("graph is disconnected")
+    sentinel = min(n, 2 * depth) + 1
+    d = np.full((n, n), sentinel, dtype=np.min_scalar_type(2 * sentinel))
     np.fill_diagonal(d, 0)
     for u, v in g.edges():
         d[u, v] = d[v, u] = 1
     for k in range(n):
         np.minimum(d, d[:, k, None] + d[k, None, :], out=d)
-    if int(d.max()) >= n:
-        raise ValidationError("distance matrix undefined: graph is disconnected")
     d.setflags(write=False)
     return d
+
+
+def _masks(member: np.ndarray) -> list[int]:
+    """One int mask per row of a boolean matrix: bit k set where column k is."""
+    packed = np.packbits(member, axis=1, bitorder="little")
+    chunks = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    return list(map(int.from_bytes, chunks, repeat("little")))
+
+
+def interval_row(d: np.ndarray, v: int) -> list[int]:
+    """Row v of interval_table(d) alone: the mask of I(v, j) for every j."""
+    dv = d[v]
+    # member[j, k] == (d(v,k) + d(k,j) == d(v,j))
+    return _masks((dv[None, :] + d) == dv[:, None])
 
 
 def interval_table(d: np.ndarray) -> list[list[int]]:
@@ -85,22 +109,21 @@ def interval_table(d: np.ndarray) -> list[list[int]]:
     Only the j >= i half is computed; rows[j][i] is the same int object as
     rows[i][j], so the lower half costs list slots, not new masks.
     """
-    n = len(d)
-    row_bytes = np.dtype((np.void, -(-n // 8)))  # one packed mask as one item
     rows: list[list[int]] = []
-    for i in range(n):
+    for i in range(len(d)):
         di = d[i]
         # member[j - i, k] == (d(i,k) + d(k,j) == d(i,j)) for j >= i
-        member = (di[None, :] + d[i:]) == di[i:, None]
-        packed = np.packbits(member, axis=1, bitorder="little")
-        chunks = packed.view(row_bytes).ravel().tolist()
-        rows.append([rows[j][i] for j in range(i)]
-                    + list(map(int.from_bytes, chunks, repeat("little"))))
+        rows.append(list(map(itemgetter(i), rows))
+                    + _masks((di[None, :] + d[i:]) == di[i:, None]))
     return rows
 
 
-def closure(table: list[list[int]], members: int) -> int:
-    """Union of I(a, b) over all pairs a <= b drawn from the member mask."""
+def closure(table: list[list[int]] | IntervalRows, members: int) -> int:
+    """Union of I(a, b) over all pairs a <= b drawn from the member mask.
+
+    Reads only the members' rows, so an Instance's rows serve as well as
+    its table.
+    """
     out = 0
     vs = vertices_of(members)
     for pos, a in enumerate(vs):
@@ -110,7 +133,7 @@ def closure(table: list[list[int]], members: int) -> int:
     return out
 
 
-def is_geodetic(table: list[list[int]], members: int) -> bool:
+def is_geodetic(table: list[list[int]] | IntervalRows, members: int) -> bool:
     return closure(table, members) == full_mask(len(table))
 
 
@@ -119,12 +142,13 @@ class Cover:
 
     Invariants: coverage == closure(table, members), and gains[j] is the
     union of table[s][j] over the members s, so adding j would grow the
-    coverage by gains[j] | 1 << j.  The table is shared and never mutated.
+    coverage by gains[j] | 1 << j.  The table, or an Instance's rows, which
+    the cover reads one member at a time, is shared and never mutated.
     """
 
     __slots__ = ("table", "members", "coverage", "gains")
 
-    def __init__(self, table: list[list[int]], members: int = 0):
+    def __init__(self, table: list[list[int]] | IntervalRows, members: int = 0):
         self.table = table
         self.members = 0
         self.coverage = 0
@@ -138,22 +162,63 @@ class Cover:
         self.gains = list(map(or_, self.gains, self.table[v]))
 
 
+class IntervalRows:
+    """Rows of the interval table by vertex: rows[v] is the list of I(v, j) masks.
+
+    A row is built alone, by interval_row, and kept until the whole table
+    is built; from then on whole holds the table (None before) and rows[v]
+    is its own row v.  Only the distances and the rows are held, never the
+    Instance, so nothing here outlives it.
+    """
+
+    __slots__ = ("dist", "built", "whole")
+
+    def __init__(self, dist: np.ndarray):
+        self.dist = dist
+        self.built: dict[int, list[int]] = {}
+        self.whole: list[list[int]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.dist)
+
+    def __getitem__(self, v: int) -> list[int]:
+        if self.whole is not None:
+            return self.whole[v]
+        row = self.built.get(v)
+        if row is None:
+            row = self.built[v] = interval_row(self.dist, v)
+        return row
+
+    def table(self) -> list[list[int]]:
+        """The whole table, built on the first call."""
+        if self.whole is None:
+            self.whole = interval_table(self.dist)
+            self.built.clear()
+        return self.whole
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A connected graph with its distances, interval table and forced core.
+    """A connected graph with its distances, forced core and interval rows.
 
     Every solver accepts a Graph or an Instance; building the Instance once
-    and passing it to several solvers shares one distance and table build.
+    and passing it to several solvers shares one distance build and at most
+    one table build.
     """
 
     graph: Graph
     dist: np.ndarray           # read-only hop distances, from all_pairs_distances
-    table: list[list[int]]     # square interval masks, from interval_table
     forced: int                # mask of the vertices inside no shortest path
+    rows: IntervalRows         # row v alone until the table is built
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def table(self) -> list[list[int]]:
+        """Square interval masks, from interval_table: built on first read."""
+        return self.rows.table()
 
     @classmethod
     def of(cls, x: Graph | Instance) -> Instance:
@@ -161,7 +226,6 @@ class Instance:
         if isinstance(x, Instance):
             return x
         require_table_fits(x.n)
-        require_connected(x)
         dist = all_pairs_distances(x)
         # v is forced iff all deg * (deg - 1) ordered pairs of its neighbours
         # are edges; (A @ A) * A counts them, exact in float32 as the cap
@@ -170,7 +234,7 @@ class Instance:
         deg = adj.sum(axis=1)
         linked = ((adj @ adj) * adj).sum(axis=1)
         forced = mask_of(np.flatnonzero(linked == deg * (deg - 1)).tolist())
-        return cls(x, dist, interval_table(dist), forced)
+        return cls(x, dist, forced, IntervalRows(dist))
 
 
 def pk_table(d: np.ndarray) -> tuple[np.ndarray, ...]:

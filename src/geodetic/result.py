@@ -22,12 +22,12 @@ class GeodeticResult:
 
 def finish(algorithm: str, inst: Instance, members: int, optimal: bool,
            start: float) -> GeodeticResult:
-    """Check members against the table, then record it with its time since start.
+    """Check members against their rows, then record it with its time since start.
 
     Every solver returns through here, so no unverified set leaves the
     package; a non-geodetic set is an internal error and raises.
     """
-    if not is_geodetic(inst.table, members):
+    if not is_geodetic(inst.rows, members):
         raise AlgorithmError(f"{algorithm} returned a non-geodetic set")
     vs = tuple(vertices_of(members))
     return GeodeticResult(algorithm=algorithm, vertices=vs, value=len(vs),

@@ -38,6 +38,13 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(n), 2))
 
 
+def broom_graph(n: int, depth: int) -> Graph:
+    """A path 0 .. depth - 1 from vertex 0 with the other n - depth vertices as
+    leaves on its far end, so vertex 0's eccentricity is depth."""
+    return Graph(n, [(i, i + 1) for i in range(depth - 1)]
+                 + [(depth - 1, leaf) for leaf in range(depth, n)])
+
+
 def star_graph(leaves: int) -> Graph:
     """Center 0 with the given number of leaves."""
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])

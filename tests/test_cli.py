@@ -227,6 +227,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith("geodetic")
 
+    def test_reads_rows_without_the_table(self, p4_file, monkeypatch, capsys):
+        calls = count_builds(monkeypatch)
+        assert main(["verify", p4_file, "0", "3"]) == 0
+        assert calls == {"all_pairs_distances": 1, "interval_table": 0}
+        assert "geodetic: closure covers 4 of 4" in capsys.readouterr().out
+
     def test_out_of_range_vertex(self, p4_file):
         assert main(["verify", p4_file, "0", "9"]) == 1
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from geodetic.errors import EdgeListParseError, ValidationError
 from geodetic.graph import (
     Graph,
+    bfs_depth,
     is_connected,
     parse_edge_list,
     require_connected,
@@ -61,6 +62,13 @@ class TestConnectivity:
 
     def test_isolated_vertex(self):
         assert not is_connected(Graph(3, [(0, 1)]))
+
+    def test_bfs_depth_is_the_eccentricity_of_vertex_zero(self):
+        assert bfs_depth(Graph(1, [])) == 0
+        assert bfs_depth(path_graph(5)) == 4
+        assert bfs_depth(Graph(5, [(2, 0), (2, 1), (2, 3), (3, 4)])) == 3
+        assert bfs_depth(cycle_graph(7)) == 3
+        assert bfs_depth(Graph(3, [(0, 1)])) is None
 
     def test_large_cycle_memory_is_linear(self):
         # a graph and its traversal cost O(n + m), not one n-bit int per vertex

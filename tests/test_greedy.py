@@ -92,17 +92,20 @@ class TestLargestIncrease:
 class TestLargestIncreasePair:
     def test_odd_cycle_picks_longest_interval(self):
         cover = seeded_cover(cycle_graph(5))
-        i, j, gain = largest_increase_pair(cover, pair_bounds(cover))
+        i, j, gain = largest_increase_pair(
+            cover, pair_bounds(Instance.of(cycle_graph(5)), cover.members))
         assert (i, j) == (0, 2)
         assert gain == mask_of([0, 1, 2])
 
     def test_too_few_candidates(self):
         cover = seeded_cover(Graph(2, [(0, 1)]), 0b11)
-        assert largest_increase_pair(cover, pair_bounds(cover)) == (None, None, 0)
+        stale = pair_bounds(Instance.of(Graph(2, [(0, 1)])), cover.members)
+        assert largest_increase_pair(cover, stale) == (None, None, 0)
 
     def test_pair_gain_covers_both_endpoints(self):
         cover = seeded_cover(cycle_graph(7))
-        i, j, gain = largest_increase_pair(cover, pair_bounds(cover))
+        i, j, gain = largest_increase_pair(
+            cover, pair_bounds(Instance.of(cycle_graph(7)), cover.members))
         assert gain & (1 << i)
         assert gain & (1 << j)
 
@@ -227,7 +230,8 @@ class TestPrunedPairScan:
 
         def checked(cover, stale):
             want = exhaustive_pair(cover)
-            assert pruned(cover, pair_bounds(cover)) == want  # bounds built afresh
+            fresh = pair_bounds(Instance.of(g), cover.members)
+            assert pruned(cover, fresh) == want  # bounds built afresh
             got = pruned(cover, stale)    # bounds carried across rounds
             assert got == want
             steps.append(got)
@@ -246,15 +250,25 @@ class TestPrunedPairScan:
 
     def test_stale_bounds_start_at_the_pristine_intervals(self):
         cover = seeded_cover(path_graph(5), mask_of([0, 4]))
-        stale = pair_bounds(cover)
+        stale = pair_bounds(Instance.of(path_graph(5)), cover.members)
         assert stale.dtype == np.int16
         assert stale[1, 3] == cover.table[1][3].bit_count() == 3
         assert stale[3, 1] == stale[2, 2] == NO_PAIR  # lower triangle, diagonal
         assert (stale[0] == NO_PAIR).all() and (stale[:, 4] == NO_PAIR).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=12), st.integers(min_value=0))
+    def test_counts_from_distances_match_the_table_masks(self, g, bits):
+        inst = Instance.of(g)
+        members = bits & full_mask(g.n)
+        before = pair_bounds(inst, members)
+        assert inst.rows.whole is None  # counted from the distances
+        inst.table
+        assert (pair_bounds(inst, members) == before).all()
+
     def test_scan_tightens_the_pairs_it_scores(self):
         cover = seeded_cover(cycle_graph(7))
-        stale = pair_bounds(cover)
+        stale = pair_bounds(Instance.of(cycle_graph(7)), cover.members)
         for v in (0, 3):  # covers 0..3, leaves 4, 5 and 6
             cover.add(v)
             exclude(stale, v)

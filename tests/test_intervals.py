@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from geodetic.intervals import (
     Instance,
     all_pairs_distances,
     closure,
+    interval_row,
     interval_table,
     is_geodetic,
     pk_table,
@@ -25,6 +28,7 @@ from geodetic.intervals import (
 from geodetic.local import locally_greedy_geodetic
 from helpers import (
     bfs_distances,
+    broom_graph,
     complete_graph,
     count_builds,
     connected_graphs,
@@ -76,6 +80,16 @@ class TestDistances:
         g = build(n)
         assert all_pairs_distances(g).tolist() == [bfs_distances(g, v) for v in range(n)]
 
+    @pytest.mark.parametrize("g, dtype", [
+        (broom_graph(200, 63), np.uint8),   # two sentinels of 2 * 63 + 1 fit a byte
+        (broom_graph(200, 64), np.uint16),  # two of 2 * 64 + 1 do not
+        (generate(GenSpec("ER", 400, 1600, seed=1)), np.uint8),
+    ], ids=["broom-ecc63", "broom-ecc64", "ER-n400"])
+    def test_dtype_follows_eccentricity_of_vertex_zero(self, g, dtype):
+        d = all_pairs_distances(g)
+        assert d.dtype == dtype
+        assert d.tolist() == [bfs_distances(g, v) for v in range(g.n)]
+
     def test_narrowest_dtype_that_holds_two_sentinels(self):
         assert all_pairs_distances(path_graph(126)).dtype == np.uint8
         assert all_pairs_distances(path_graph(127)).dtype == np.uint16
@@ -126,10 +140,12 @@ class TestIntervalTable:
         # each mask packs into ceil(n / 8) bytes; cover a partial, a full and
         # one spilled byte, and a multiple of the 8-byte word
         for g in (cycle_graph(n), generate(GenSpec("BA", n, 2 * n, seed=n))):
-            t = interval_table(all_pairs_distances(g))
+            d = all_pairs_distances(g)
+            t = interval_table(d)
             for i in range(n):
                 for j in range(n):
                     assert set(vertices_of(t[i][j])) == oracle_interval(g, i, j)
+            assert all(interval_row(d, v) == t[v] for v in range(n))
 
     @settings(max_examples=60)
     @given(connected_graphs(max_n=8))
@@ -330,6 +346,43 @@ class TestInstance:
         assert inst.n == 6
         assert (inst.dist == all_pairs_distances(g)).all()
         assert inst.table == interval_table(all_pairs_distances(g))
+
+    def test_rows_are_the_table_rows_once_it_exists(self):
+        inst = Instance.of(generate(GenSpec("ER", 30, 90, seed=2)))
+        early = inst.rows[4]
+        assert early == interval_row(inst.dist, 4)
+        table = inst.table
+        assert inst.table is table  # built at most once
+        assert early == table[4]
+        assert all(inst.rows[v] is table[v] for v in range(inst.n))
+
+    @pytest.mark.parametrize("solve, tables", [
+        (locally_greedy_geodetic, 0),
+        (lambda x: greedy_geodetic(x, add_one=True), 0),
+        (greedy_geodetic, 1),
+        (exact_geodetic, 1),
+    ], ids=["local", "greedy-addone", "greedy", "exact"])
+    def test_table_built_only_for_solvers_that_read_it(self, monkeypatch, solve, tables):
+        g = generate(GenSpec("BA", 16, 40, seed=3))
+        calls = count_builds(monkeypatch)
+        solve(g)
+        assert calls == {"all_pairs_distances": 1, "interval_table": tables}
+
+    def test_no_solver_leaves_the_instance_in_a_cycle(self):
+        # the rows hold the distances and the table, never the Instance: with
+        # the cycle collector off, dropping the last reference must free it
+        g = generate(GenSpec("WS", 14, 30, seed=3))
+        gc.disable()
+        try:
+            for solve in (greedy_geodetic, lambda x: greedy_geodetic(x, add_one=True),
+                          locally_greedy_geodetic, exact_geodetic, brute_force_geodetic):
+                inst = Instance.of(g)
+                solve(inst)
+                ref = weakref.ref(inst)
+                del inst
+                assert ref() is None
+        finally:
+            gc.enable()
 
     def test_instance_passes_through(self):
         inst = Instance.of(path_graph(4))
