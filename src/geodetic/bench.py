@@ -9,7 +9,6 @@ byte-reproducible output.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -80,6 +79,9 @@ def run_grid(specs: list[GenSpec], config: BenchConfig,
     the returned order is unchanged.  No more workers than cells are started."""
     if jobs <= 1 or len(specs) <= 1:
         return [run_cell(spec, config) for spec in specs]
+    # imported here: the pool pulls in multiprocessing, which a serial run
+    # and `import geodetic` need not pay for
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
         return list(pool.map(partial(run_cell, config=config), specs))
 

@@ -138,6 +138,7 @@ def _solve_lines(g: Graph | Instance, algorithm: str,
         lines.append(f"{'diameter-bound':<16}{diameter_bound(dist):>8}")
         return lines
     if algorithm == "all":
+        require_table_fits(g.n)  # before the distances, as the table follows
         g = Instance.of(g)  # one shared build, outside every solver's clock;
         g.table             # exact and greedy read the whole table
     if algorithm == "brute" and g.n > BRUTE_FORCE_MAX_N:

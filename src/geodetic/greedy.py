@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import time
 from array import array
+from itertools import repeat
+from operator import and_
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .intervals import Cover, Instance
 from .result import GeodeticResult, finish
 
 # Stale entry of a pair no scan may pick; with single counts of at most n
-# each added, its bound stays negative for every n the table cap admits.
+# each added, its bound stays negative for every n the distance cap admits.
 NO_PAIR = np.iinfo(np.int16).min
 
 
@@ -54,23 +56,17 @@ def largest_increase(cover: Cover) -> tuple[int | None, int]:
     """Best single vertex by the number of uncovered vertices it adds.
 
     Returns the vertex and its new coverage, or (None, 0) when no vertex adds
-    coverage, which includes the empty starting set.
+    coverage, which includes the empty starting set.  Ties go to the lowest
+    index.  Members need no test: a member's gain lies in the coverage, so
+    it counts 0.
     """
-    best_v: int | None = None
-    best_gain = 0
-    best_count = 0
-    members = cover.members
     uncovered = ~cover.coverage
-    for i, union in enumerate(cover.gains):
-        if (members >> i) & 1:
-            continue
-        union &= uncovered
-        count = union.bit_count()
-        if count > best_count:
-            best_count = count
-            best_v = i
-            best_gain = union
-    return best_v, best_gain
+    counts = list(map(int.bit_count, map(and_, cover.gains, repeat(uncovered))))
+    best = max(counts)
+    if not best:
+        return None, 0
+    v = counts.index(best)
+    return v, cover.gains[v] & uncovered
 
 
 def pair_bounds(inst: Instance, members: int) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Shortest-path structure: distances, interval sets, closures.
 
+Distances come from one breadth-first search from every source at once over
+packed uint64 bitsets (all_pairs_distances): O(diam * (m + n) * ceil(n / 64))
+word operations plus one unpack per bit-plane, in uint8 or uint16 as vertex
+0's eccentricity allows.
+
 The interval I(i, j) is the set of vertices lying on at least one shortest
 i-j path, endpoints included; I(i, i) = {i}.  A vertex k is in I(i, j)
 exactly when d(i, k) + d(k, j) = d(i, j), which is how the table is built
@@ -7,12 +12,13 @@ from the distance matrix.  Intervals are integer bitmasks in a plain square
 list of lists, read in place as table[i][j]; the two orientations of a pair
 share one int object.  An Instance bundles a connected graph with its
 distances and forced core (the vertices inside no shortest path, which every
-geodetic set contains) so that several solvers share one build.  Its table
-is built on first read, at most once; its rows give row v alone (one n x n
-compare, interval_row) until the table exists, and the table's own rows
-after.  Greedy, exact and brute force read the table; locally greedy,
-add-one, the final check of every result and `geodetic verify` read only
-the rows of the vertices they pick.
+geodetic set contains; forced_core reads it off packed neighbourhoods) so
+that several solvers share one build.  Its table is built on first read, at
+most once, and only that build is held to TABLE_MEMORY_CAP; its rows give
+row v alone (one n x n compare, interval_row) until the table exists, and
+the table's own rows after.  Greedy, exact and brute force read the table;
+locally greedy, add-one, the final check of every result and `geodetic
+verify` read only the rows of the vertices they pick.
 
 A Cover is a vertex set grown one vertex at a time, with its closure and,
 for every vertex j, the union of I(s, j) over the members s.  Greedy, add-one,
@@ -23,7 +29,7 @@ through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter, or_
 
 import numpy as np
@@ -32,8 +38,15 @@ from .bitset import full_mask, mask_of, vertices_of
 from .errors import ValidationError
 from .graph import Graph, bfs_depth
 
-# Largest interval table Instance.of will build, in estimated bytes.
+# Largest interval table IntervalRows.table will build, in estimated bytes.
 TABLE_MEMORY_CAP = 4 << 30
+
+# Largest n all_pairs_distances accepts.  Greedy's pair bounds add three
+# counts of at most n each in int16, so 3n must fit.
+DISTANCE_MAX_N = np.iinfo(np.int16).max // 3
+
+# One packed word of the breadth-first search: bit s of word w is source 64w + s.
+_WORD = np.dtype("<u8")
 
 # Peak memory allowed per P(k) entry of an LP export.  On paths with
 # n = 200-400 (CPython 3.11, 64-bit Linux; fresh process, ru_maxrss minus the
@@ -53,7 +66,8 @@ def table_bytes(n: int) -> int:
 def require_table_fits(n: int) -> None:
     """Reject an n-vertex graph whose interval table would exceed the cap.
 
-    Called before any O(n^2) allocation, so an oversized input fails fast.
+    Called before the table build (IntervalRows.table), so an oversized
+    table fails fast while callers that read rows alone are unaffected.
     """
     if table_bytes(n) > TABLE_MEMORY_CAP:
         raise ValidationError(
@@ -61,32 +75,112 @@ def require_table_fits(n: int) -> None:
             f"over the {TABLE_MEMORY_CAP >> 30} GiB cap")
 
 
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Floyd-Warshall over hop counts, one vectorized relaxation per pivot.
+def require_distances_fit(n: int) -> None:
+    """Reject an n-vertex graph over DISTANCE_MAX_N before any O(n^2) allocation."""
+    if n > DISTANCE_MAX_N:
+        raise ValidationError(
+            f"distances for n={n} are over the cap of n={DISTANCE_MAX_N}")
 
-    One BFS from vertex 0 comes first: it rejects a disconnected graph before
-    the n^2 allocation, and its depth e bounds every distance by
-    min(n - 1, 2e).  Unreached pairs start at the sentinel min(n, 2e) + 1,
-    above every distance, and a relaxation adds two entries, so the array
-    takes the narrowest unsigned dtype that holds two sentinels: uint8
-    whenever e <= 63 (at any n) or n <= 126, and uint16 beyond.
-    Returns the read-only (n, n) array.  Floyd-Warshall is memory-bound, so
-    the narrow dtype is what makes it fast; the interval and P(k) builds,
-    which add rows of it, get faster too.
+
+def _packed(member: np.ndarray) -> np.ndarray:
+    """Rows of a boolean matrix as packed words: bit k is column k."""
+    rows, n = member.shape
+    out = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
+    out[:, :-(-n // 8)] = np.packbits(member, axis=1, bitorder="little")
+    return out.view(_WORD)
+
+
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour lists as CSR: nbrs[start[v]:start[v + 1]] are v's neighbours.
+
+    The ids are uint16, which holds every id below DISTANCE_MAX_N.
+    """
+    start = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, g.adj), dtype=np.intp, count=g.n), out=start[1:])
+    nbrs = np.fromiter(chain.from_iterable(g.adj), dtype=np.uint16, count=int(start[-1]))
+    return start, nbrs
+
+
+def _fold_neighbours(fold: np.ufunc, rows: np.ndarray, start: np.ndarray,
+                     nbrs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[v] = fold over rows[u] for the neighbours u of v; every v needs one.
+
+    The neighbour rows are gathered for a run of vertices at a time, at most
+    8n rows per run (a vertex has fewer than n), so for rows of n bits the
+    gathered copy stays within about n^2 bytes however many edges there are.
+    """
+    n = len(start) - 1
+    a = 0
+    while a < n:
+        b = max(int(np.searchsorted(start, start[a] + 8 * n, "right")) - 1, a + 1)
+        lo = start[a]
+        gathered = np.take(rows, nbrs[lo:start[b]], axis=0)
+        fold.reduceat(gathered, start[a:b] - lo, axis=0, out=out[a:b])
+        a = b
+    return out
+
+
+def all_pairs_distances(g: Graph) -> np.ndarray:
+    """Hop distances by a breadth-first search from every source at once.
+
+    The sources are bits of packed little-endian uint64 rows: row u of the
+    frontier holds the sources whose current layer contains u.  One level
+    ORs the frontier rows of u's neighbours (_fold_neighbours), masks them
+    with the sources that have not reached u yet, and ORs the new layer into
+    the bit-planes of its level number; the planes are unpacked once at the
+    end.  That costs O(diam * (m + n) * ceil(n / 64)) word operations plus
+    one unpack per bit-plane, and O(n^2) bytes of temporaries whatever m is.
+
+    One scalar BFS from vertex 0 comes first: it rejects a disconnected graph
+    before the n^2 allocations, and its depth e bounds every distance by
+    min(n - 1, 2e), which fixes the number of planes.  The array takes the
+    narrowest unsigned dtype that holds twice the sentinel min(n, 2e) + 1,
+    above every distance: uint8 whenever e <= 63 (at any n) or n <= 126, and
+    uint16 beyond.  The interval and P(k) builds add two distances in that
+    dtype and rely on its headroom.  Returns the read-only (n, n) array.
     """
     n = g.n
+    require_distances_fit(n)
     depth = bfs_depth(g)
     if depth is None:
         raise ValidationError("graph is disconnected")
-    sentinel = min(n, 2 * depth) + 1
-    d = np.full((n, n), sentinel, dtype=np.min_scalar_type(2 * sentinel))
-    np.fill_diagonal(d, 0)
-    for u, v in g.edges():
-        d[u, v] = d[v, u] = 1
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[k, None, :], out=d)
+    start, nbrs = _csr(g)
+    frontier = _packed(np.eye(n, dtype=bool))  # level 0: each source alone
+    unreached = _packed(~np.eye(n, dtype=bool))
+    planes = [np.zeros_like(frontier) for _ in range(min(n - 1, 2 * depth).bit_length())]
+    layer = np.empty_like(frontier)
+    level = 0
+    while unreached.any():  # connected, so every level reaches a new pair
+        _fold_neighbours(np.bitwise_or, frontier, start, nbrs, layer)
+        layer &= unreached
+        unreached ^= layer
+        level += 1
+        for bit, plane in enumerate(planes):
+            if level >> bit & 1:
+                plane |= layer
+        frontier, layer = layer, frontier
+    d = np.zeros((n, n), dtype=np.min_scalar_type(2 * (min(n, 2 * depth) + 1)))
+    for plane in reversed(planes):  # Horner: d = 2d + bit, highest plane first
+        d <<= 1
+        d |= np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
     d.setflags(write=False)
     return d
+
+
+def forced_core(g: Graph, dist: np.ndarray) -> int:
+    """Mask of the vertices inside no shortest path, which every geodetic set holds.
+
+    A vertex is inside a shortest path iff two of its neighbours are not
+    adjacent, so v is forced iff N(v) lies in N[u] for every neighbour u:
+    iff N[v] lies in the AND of its neighbours' closed neighbourhoods, read
+    off packed rows of dist <= 1.  The lone vertex of n = 1 is forced.
+    """
+    if g.n == 1:
+        return 1
+    closed = _packed(dist <= 1)
+    start, nbrs = _csr(g)
+    common = _fold_neighbours(np.bitwise_and, closed, start, nbrs, np.empty_like(closed))
+    return mask_of(np.flatnonzero(~(closed & ~common).any(axis=1)).tolist())
 
 
 def _masks(member: np.ndarray) -> list[int]:
@@ -190,8 +284,9 @@ class IntervalRows:
         return row
 
     def table(self) -> list[list[int]]:
-        """The whole table, built on the first call."""
+        """The whole table, built on the first call; over the cap it raises."""
         if self.whole is None:
+            require_table_fits(len(self.dist))
             self.whole = interval_table(self.dist)
             self.built.clear()
         return self.whole
@@ -225,16 +320,8 @@ class Instance:
         """x itself when it is already an Instance, else a fresh build."""
         if isinstance(x, Instance):
             return x
-        require_table_fits(x.n)
         dist = all_pairs_distances(x)
-        # v is forced iff all deg * (deg - 1) ordered pairs of its neighbours
-        # are edges; (A @ A) * A counts them, exact in float32 as the cap
-        # keeps n below 4096, so every count stays under 2^24
-        adj = (dist == 1).astype(np.float32)
-        deg = adj.sum(axis=1)
-        linked = ((adj @ adj) * adj).sum(axis=1)
-        forced = mask_of(np.flatnonzero(linked == deg * (deg - 1)).tolist())
-        return cls(x, dist, forced, IntervalRows(dist))
+        return cls(x, dist, forced_core(x, dist), IntervalRows(dist))
 
 
 def pk_table(d: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -257,3 +257,23 @@ def exhaustive_pair(cover) -> tuple[int | None, int | None, int]:
                 best_count = count
                 best = (i, j, mask)
     return best
+
+
+def scan_largest_increase(cover) -> tuple[int | None, int]:
+    """Reference single step: skip members, score the rest, first best wins.
+
+    The same contract as geodetic.greedy.largest_increase, one vertex at a
+    time with an explicit member test.
+    """
+    best: tuple[int | None, int] = (None, 0)
+    best_count = 0
+    uncovered = ~cover.coverage
+    for i, union in enumerate(cover.gains):
+        if (cover.members >> i) & 1:
+            continue
+        union &= uncovered
+        count = union.bit_count()
+        if count > best_count:
+            best_count = count
+            best = (i, union)
+    return best

@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -101,13 +103,21 @@ class TestRunGrid:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("geodetic.bench.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         records = run_grid(small_specs()[:2], BenchConfig(), jobs=64)
         assert asked == [2]
         assert [r.seed for r in records] == [0, 1]
         assert run_grid(small_specs()[:1], BenchConfig(), jobs=64)[0].seed == 0
         assert run_grid([], BenchConfig(), jobs=64) == []
         assert asked == [2]  # one cell or none runs without a pool
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool is imported by a parallel run_grid alone
+        code = ("import sys, geodetic; "
+                "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False"]
 
 
 class TestFormatting:

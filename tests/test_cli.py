@@ -233,6 +233,16 @@ class TestVerify:
         assert calls == {"all_pairs_distances": 1, "interval_table": 0}
         assert "geodetic: closure covers 4 of 4" in capsys.readouterr().out
 
+    def test_reads_rows_where_the_table_is_over_the_cap(self, tmp_path, capsys):
+        # K2,4498: its two hubs cover every vertex, and its table is over 4 GiB
+        path = tmp_path / "k2.txt"
+        path.write_text("".join(f"{u} {v}\n" for u in (0, 1) for v in range(2, 4500)))
+        assert main(["verify", str(path), "0", "1"]) == 0
+        assert capsys.readouterr().out.startswith("geodetic: closure covers 4500 of 4500")
+        assert main(["solve", str(path), "-a", "greedy"]) == 2
+        err = capsys.readouterr().err
+        assert "cap" in err and "Traceback" not in err
+
     def test_out_of_range_vertex(self, p4_file):
         assert main(["verify", p4_file, "0", "9"]) == 1
 

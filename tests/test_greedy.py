@@ -19,13 +19,14 @@ from geodetic.greedy import (
     pair_bounds,
 )
 from geodetic.intervals import (
+    DISTANCE_MAX_N,
     Cover,
     Instance,
     all_pairs_distances,
     closure,
     interval_table,
     is_geodetic,
-    require_table_fits,
+    require_distances_fit,
 )
 from helpers import (
     complete_graph,
@@ -34,6 +35,8 @@ from helpers import (
     exhaustive_pair,
     oracle_closure,
     path_graph,
+    scan_largest_increase,
+    star_graph,
 )
 
 
@@ -87,6 +90,24 @@ class TestLargestIncrease:
             return
         grown = closure(cover.table, cover.members | (1 << v))
         assert gain == grown & ~cover.coverage
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(min_n=2, max_n=24), st.data())
+    def test_matches_the_member_scan_on_random_covers(self, g, data):
+        members = data.draw(st.integers(0, full_mask(g.n)), label="members")
+        cover = seeded_cover(g, members)
+        v, gain = largest_increase(cover)
+        assert (v, gain) == scan_largest_increase(cover)
+        if v is not None:
+            assert not (cover.members >> v) & 1
+            assert gain.bit_count() > 0
+
+    def test_ties_go_to_the_lowest_index(self):
+        # star with centre 0 and member leaf 1: leaves 2 and 3 each add
+        # themselves and the centre, so they tie, and 2 wins
+        cover = seeded_cover(star_graph(3), mask_of([1]))
+        assert largest_increase(cover) == (2, mask_of([0, 2]))
+        assert largest_increase(cover) == scan_largest_increase(cover)
 
 
 class TestLargestIncreasePair:
@@ -284,18 +305,12 @@ class TestPrunedPairScan:
 
 class TestInt16Headroom:
     def test_bounds_fit_int16_for_every_admitted_n(self):
-        low, high = 1, 1 << 16  # largest n the table cap admits lies between
-        require_table_fits(low)
-        with pytest.raises(ValidationError):
-            require_table_fits(high)
-        while high - low > 1:
-            mid = (low + high) // 2
-            try:
-                require_table_fits(mid)
-                low = mid
-            except ValidationError:
-                high = mid
-        n = low
+        # pair_bounds runs on every n the distance cap admits, add-one's
+        # included, which reads no table
+        n = DISTANCE_MAX_N
+        require_distances_fit(n)
+        with pytest.raises(ValidationError, match="cap"):
+            require_distances_fit(n + 1)
         limit = np.iinfo(np.int16)
         # a candidate's bound is a stale interval count plus two single
         # counts, each at most n; an excluded pair adds two counts to NO_PAIR

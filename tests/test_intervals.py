@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from geodetic.bitset import full_mask, mask_of, vertices_of
 from geodetic.errors import ValidationError
 from geodetic.exact import brute_force_geodetic, exact_geodetic
-from geodetic.generate import GenSpec, benchmark_grid, generate
+from geodetic.generate import GenSpec, benchmark_grid, edge_count_for_density, generate
 from geodetic.graph import Graph
 from geodetic.greedy import greedy_geodetic
 from geodetic.intervals import (
+    DISTANCE_MAX_N,
     TABLE_MEMORY_CAP,
     Cover,
     Instance,
@@ -29,6 +31,7 @@ from geodetic.local import locally_greedy_geodetic
 from helpers import (
     bfs_distances,
     broom_graph,
+    complete_bipartite_graph,
     complete_graph,
     count_builds,
     connected_graphs,
@@ -38,6 +41,7 @@ from helpers import (
     path_graph,
     petersen_graph,
     sssp_intervals,
+    star_graph,
 )
 
 
@@ -104,6 +108,34 @@ class TestDistances:
         d = all_pairs_distances(g)
         for v in range(g.n):
             assert list(d[v]) == bfs_distances(g, v)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        connected_graphs(min_n=1, max_n=60),
+        st.integers(1, 60).map(path_graph),
+        st.integers(3, 60).map(cycle_graph),
+        st.integers(0, 59).map(star_graph),
+        st.integers(1, 60).map(complete_graph)))
+    def test_matches_bfs_up_to_n60_with_the_dtype_rule(self, g):
+        d = all_pairs_distances(g)
+        assert d.tolist() == [bfs_distances(g, v) for v in range(g.n)]
+        ecc = max(bfs_distances(g, 0))
+        assert d.dtype == np.min_scalar_type(2 * (min(g.n, 2 * ecc) + 1))
+
+    def test_dense_graph_temporaries_stay_within_a_few_n_squared_bytes(self):
+        # ER n=300 at density 0.9 has about 40,000 edges: gathering every
+        # neighbour row at once would take 80,000 rows of 40 bytes, about
+        # 36 n^2 bytes; the result alone is n^2 bytes
+        n = 300
+        g = generate(GenSpec("ER", n, edge_count_for_density(n, 0.9), seed=1))
+        all_pairs_distances(g)  # warm every code path before measuring
+        tracemalloc.start()
+        try:
+            all_pairs_distances(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
 
 class TestIntervalTable:
@@ -401,20 +433,37 @@ class TestInstance:
                          if oracle_closure(g, everything - {v}) != everything)
         assert Instance.of(g).forced == expect
 
+    def test_forced_core_of_small_and_bipartite_graphs(self):
+        assert Instance.of(Graph(1, [])).forced == 1  # the lone vertex
+        assert Instance.of(Graph(2, [(0, 1)])).forced == 0b11
+        # K2,1 is the path 0 - 2 - 1; K2,b with b >= 2 has no forced vertex
+        assert Instance.of(complete_bipartite_graph(2, 1)).forced == 0b011
+        for b in (2, 3, 10, 70):
+            assert Instance.of(complete_bipartite_graph(2, b)).forced == 0
+        # the leaves of a star, and every vertex of a clique
+        assert Instance.of(star_graph(70)).forced == full_mask(71) & ~1
+        assert Instance.of(complete_graph(70)).forced == full_mask(70)
+
     def test_table_estimate_brackets_the_cap(self):
-        # about 90 MB at n=1000; the 4 GiB cap falls between n=3500 and 4000,
-        # below the n=4096 up to which the forced core's float32 counts are exact
+        # about 90 MB at n=1000; the 4 GiB cap falls between n=3500 and 4000
         assert 80e6 < table_bytes(1000) < 100e6
         assert table_bytes(3500) < TABLE_MEMORY_CAP < table_bytes(4000)
 
     def test_oversized_table_rejected_before_any_work(self, monkeypatch):
         calls = count_builds(monkeypatch)
-        n = 6000
+        inst = Instance.of(complete_bipartite_graph(2, 4498))
+        # the instance and its rows need no table, so only the table read raises
+        assert is_geodetic(inst.rows, 0b11)
+        with pytest.raises(ValidationError, match="cap"):
+            inst.table
+        assert calls == {"all_pairs_distances": 1, "interval_table": 0}
+
+    def test_oversized_distances_rejected_before_the_search(self):
+        n = DISTANCE_MAX_N + 1
+        # the size check comes first, even before the connectivity check
         for g in (cycle_graph(n), Graph(n, [])):
-            # the size check comes first, even before the connectivity check
             with pytest.raises(ValidationError, match="cap"):
                 Instance.of(g)
-        assert calls == {"all_pairs_distances": 0, "interval_table": 0}
 
     @pytest.mark.parametrize("solve", [
         brute_force_geodetic, exact_geodetic, greedy_geodetic,
