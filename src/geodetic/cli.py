@@ -246,7 +246,7 @@ def verify(graph_file, vertices, one_based):
                 f"vertex {v} out of range {base}..{g.n - 1 + base} for n={g.n}")
     vs = [v - base for v in vertices]
     with _translated_errors():
-        covered = closure(Instance.of(g).rows, mask_of(vs))
+        covered = closure(Instance.of(g), mask_of(vs))
     verdict = "geodetic" if covered == full_mask(g.n) else "not geodetic"
     click.echo(f"{verdict}: closure covers {covered.bit_count()} of {g.n} vertices")
 

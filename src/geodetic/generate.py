@@ -178,8 +178,6 @@ def generate(spec: GenSpec) -> Graph:
             edges = _draw_ws(spec.n, spec.m_target, spec.ws_rewire_prob, rng)
         else:
             edges = _draw_ba(spec.n, spec.m_target, rng)
-        if len(edges) != spec.m_target:
-            continue
         g = Graph(spec.n, edges)
         if is_connected(g):
             return g

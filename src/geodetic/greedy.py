@@ -82,8 +82,8 @@ def pair_bounds(inst: Instance, members: int) -> np.ndarray:
     """
     n = inst.n
     stale = np.full((n, n), NO_PAIR, dtype=np.int16)
-    if inst.rows.whole is not None:
-        for i, row in enumerate(inst.rows.whole):
+    if inst.has_table:
+        for i, row in enumerate(inst.table):
             stale[i, i + 1:] = np.fromiter(map(int.bit_count, row[i + 1:]),
                                            dtype=np.int16, count=n - i - 1)
     else:
@@ -166,7 +166,7 @@ def greedy_cover(inst: Instance, add_one: bool = False) -> int:
     The full loop's pair scans read most of the table, so it builds the
     table; add-one's single pair round and grow read the rows they touch.
     """
-    cover = Cover(inst.rows if add_one else inst.table, inst.forced)
+    cover = Cover(inst if add_one else inst.table, inst.forced)
     stale = pair_bounds(inst, cover.members)
     while True:
         ell, gain_single = largest_increase(cover)

@@ -13,12 +13,12 @@ list of lists, read in place as table[i][j]; the two orientations of a pair
 share one int object.  An Instance bundles a connected graph with its
 distances and forced core (the vertices inside no shortest path, which every
 geodetic set contains; forced_core reads it off packed neighbourhoods) so
-that several solvers share one build.  Its table is built on first read, at
-most once, and only that build is held to TABLE_MEMORY_CAP; its rows give
-row v alone (one n x n compare, interval_row) until the table exists, and
-the table's own rows after.  Greedy, exact and brute force read the table;
-locally greedy, add-one, the final check of every result and `geodetic
-verify` read only the rows of the vertices they pick.
+that several solvers share one build; it is the one interval store.  Its
+table is built on first read, at most once; inst[v] is row v alone (one
+n x n compare, interval_row), kept until the table exists and the table's
+row after, and both count against TABLE_MEMORY_CAP.  Greedy, exact and brute
+force read the table; locally greedy, add-one, the final check of every
+result and `geodetic verify` read only the rows of the vertices they pick.
 
 A Cover is a vertex set grown one vertex at a time, with its closure and,
 for every vertex j, the union of I(s, j) over the members s.  Greedy, add-one,
@@ -28,7 +28,8 @@ through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter, or_
 
@@ -38,7 +39,7 @@ from .bitset import full_mask, mask_of, vertices_of
 from .errors import ValidationError
 from .graph import Graph, bfs_depth
 
-# Largest interval table IntervalRows.table will build, in estimated bytes.
+# Most memory an Instance's interval masks (rows or table) may take, in bytes.
 TABLE_MEMORY_CAP = 4 << 30
 
 # Largest n all_pairs_distances accepts.  Greedy's pair bounds add three
@@ -58,21 +59,34 @@ _WORD = np.dtype("<u8")
 PK_ENTRY_BYTES = 32
 
 
+def _mask_bytes(n: int) -> int:
+    """Estimated memory of one interval mask: a CPython int of n bits."""
+    return 28 + 4 * -(-n // 30)
+
+
 def table_bytes(n: int) -> int:
-    """Estimated memory of an n-vertex table: list slots plus the int masks."""
-    return n * n * 8 + n * (n + 1) // 2 * (28 + 4 * -(-n // 30))
+    """Estimated memory of an n-vertex table: n^2 list slots, one mask per pair."""
+    return n * n * 8 + n * (n + 1) // 2 * _mask_bytes(n)
+
+
+def row_bytes(n: int) -> int:
+    """Estimated memory of one row built alone: n list slots and n masks."""
+    return n * (8 + _mask_bytes(n))
+
+
+def _require_under_cap(need: int, what: str) -> None:
+    if need > TABLE_MEMORY_CAP:
+        raise ValidationError(
+            f"{what} need about {need / 2**30:.3g} GiB, "
+            f"over the {TABLE_MEMORY_CAP / 2**30:g} GiB cap")
 
 
 def require_table_fits(n: int) -> None:
     """Reject an n-vertex graph whose interval table would exceed the cap.
 
-    Called before the table build (IntervalRows.table), so an oversized
-    table fails fast while callers that read rows alone are unaffected.
+    Instance.table calls it before the build, so an oversized table fails fast.
     """
-    if table_bytes(n) > TABLE_MEMORY_CAP:
-        raise ValidationError(
-            f"interval table for n={n} needs about {table_bytes(n) / 2**30:.1f} GiB, "
-            f"over the {TABLE_MEMORY_CAP >> 30} GiB cap")
+    _require_under_cap(table_bytes(n), f"interval table for n={n} would")
 
 
 def require_distances_fit(n: int) -> None:
@@ -212,11 +226,11 @@ def interval_table(d: np.ndarray) -> list[list[int]]:
     return rows
 
 
-def closure(table: list[list[int]] | IntervalRows, members: int) -> int:
+def closure(table: list[list[int]] | Instance, members: int) -> int:
     """Union of I(a, b) over all pairs a <= b drawn from the member mask.
 
-    Reads only the members' rows, so an Instance's rows serve as well as
-    its table.
+    Reads only the members' rows, so an Instance serves as well as its
+    table.
     """
     out = 0
     vs = vertices_of(members)
@@ -227,7 +241,7 @@ def closure(table: list[list[int]] | IntervalRows, members: int) -> int:
     return out
 
 
-def is_geodetic(table: list[list[int]] | IntervalRows, members: int) -> bool:
+def is_geodetic(table: list[list[int]] | Instance, members: int) -> bool:
     return closure(table, members) == full_mask(len(table))
 
 
@@ -236,13 +250,13 @@ class Cover:
 
     Invariants: coverage == closure(table, members), and gains[j] is the
     union of table[s][j] over the members s, so adding j would grow the
-    coverage by gains[j] | 1 << j.  The table, or an Instance's rows, which
+    coverage by gains[j] | 1 << j.  The table, or the Instance whose rows
     the cover reads one member at a time, is shared and never mutated.
     """
 
     __slots__ = ("table", "members", "coverage", "gains")
 
-    def __init__(self, table: list[list[int]] | IntervalRows, members: int = 0):
+    def __init__(self, table: list[list[int]] | Instance, members: int = 0):
         self.table = table
         self.members = 0
         self.coverage = 0
@@ -256,64 +270,50 @@ class Cover:
         self.gains = list(map(or_, self.gains, self.table[v]))
 
 
-class IntervalRows:
-    """Rows of the interval table by vertex: rows[v] is the list of I(v, j) masks.
-
-    A row is built alone, by interval_row, and kept until the whole table
-    is built; from then on whole holds the table (None before) and rows[v]
-    is its own row v.  Only the distances and the rows are held, never the
-    Instance, so nothing here outlives it.
-    """
-
-    __slots__ = ("dist", "built", "whole")
-
-    def __init__(self, dist: np.ndarray):
-        self.dist = dist
-        self.built: dict[int, list[int]] = {}
-        self.whole: list[list[int]] | None = None
-
-    def __len__(self) -> int:
-        return len(self.dist)
-
-    def __getitem__(self, v: int) -> list[int]:
-        if self.whole is not None:
-            return self.whole[v]
-        row = self.built.get(v)
-        if row is None:
-            row = self.built[v] = interval_row(self.dist, v)
-        return row
-
-    def table(self) -> list[list[int]]:
-        """The whole table, built on the first call; over the cap it raises."""
-        if self.whole is None:
-            require_table_fits(len(self.dist))
-            self.whole = interval_table(self.dist)
-            self.built.clear()
-        return self.whole
-
-
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A connected graph with its distances, forced core and interval rows.
+    """A connected graph with its distances, forced core and interval masks.
 
     Every solver accepts a Graph or an Instance; building the Instance once
     and passing it to several solvers shares one distance build and at most
-    one table build.
+    one table build.  It is also a row source: inst[v] is the list of
+    I(v, j) masks, built alone by interval_row and kept until the table
+    exists, and the table's own row v after.  The rows kept, or the table
+    that replaces them, count against TABLE_MEMORY_CAP; a read past it
+    raises ValidationError.
     """
 
     graph: Graph
     dist: np.ndarray           # read-only hop distances, from all_pairs_distances
     forced: int                # mask of the vertices inside no shortest path
-    rows: IntervalRows         # row v alone until the table is built
+    _rows: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def n(self) -> int:
+    def __len__(self) -> int:
         return self.graph.n
 
-    @property
+    n = property(__len__)
+
+    def __getitem__(self, v: int) -> list[int]:
+        row = self._rows.get(v)
+        if row is None:
+            _require_under_cap((len(self._rows) + 1) * row_bytes(self.n),
+                               f"interval rows for n={self.n}")
+            row = self._rows[v] = interval_row(self.dist, v)
+        return row
+
+    @cached_property
     def table(self) -> list[list[int]]:
-        """Square interval masks, from interval_table: built on first read."""
-        return self.rows.table()
+        """Square interval masks, from interval_table: built on first read, at most once."""
+        require_table_fits(self.n)
+        self._rows.clear()  # the table's rows replace them
+        table = interval_table(self.dist)
+        self._rows.update(enumerate(table))
+        return table
+
+    @property
+    def has_table(self) -> bool:
+        """Whether the table is built, so that reading it costs nothing."""
+        return "table" in self.__dict__
 
     @classmethod
     def of(cls, x: Graph | Instance) -> Instance:
@@ -321,7 +321,7 @@ class Instance:
         if isinstance(x, Instance):
             return x
         dist = all_pairs_distances(x)
-        return cls(x, dist, forced_core(x, dist), IntervalRows(dist))
+        return cls(x, dist, forced_core(x, dist))
 
 
 def pk_table(d: np.ndarray) -> tuple[np.ndarray, ...]:

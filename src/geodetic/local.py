@@ -1,7 +1,7 @@
 """Locally greedy upper bound, one vertex per round from a single start.
 
-The set grows through a Cover over the shared interval rows, started at one
-vertex, and its loop is greedy.grow: each round adds the candidate whose
+The set grows through a Cover over the Instance's interval rows, started at
+one vertex, and its loop is greedy.grow: each round adds the candidate whose
 accumulated gain (the union of I(s, j) over the members s) adds the most
 uncovered vertices, until every vertex is covered.  Gains only ever grow, so
 nothing is recomputed from scratch.
@@ -34,5 +34,5 @@ def locally_greedy_geodetic(x: Graph | Instance) -> GeodeticResult:
     """Grow a geodetic set one vertex per round; finish verifies it."""
     start = time.perf_counter()
     inst = Instance.of(x)
-    members = grow(Cover(inst.rows, 1 << find_start(inst)))
+    members = grow(Cover(inst, 1 << find_start(inst)))
     return finish("locally-greedy", inst, members, False, start)

@@ -27,7 +27,7 @@ def finish(algorithm: str, inst: Instance, members: int, optimal: bool,
     Every solver returns through here, so no unverified set leaves the
     package; a non-geodetic set is an internal error and raises.
     """
-    if not is_geodetic(inst.rows, members):
+    if not is_geodetic(inst, members):
         raise AlgorithmError(f"{algorithm} returned a non-geodetic set")
     vs = tuple(vertices_of(members))
     return GeodeticResult(algorithm=algorithm, vertices=vs, value=len(vs),

@@ -11,6 +11,7 @@ from geodetic.errors import GraphError
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import parse_edge_list, write_edge_list
 from geodetic.ilp import export_ilp
+from geodetic.intervals import row_bytes
 from helpers import count_builds
 
 P4_TEXT = "0 1\n1 2\n2 3\n"
@@ -242,6 +243,17 @@ class TestVerify:
         assert main(["solve", str(path), "-a", "greedy"]) == 2
         err = capsys.readouterr().err
         assert "cap" in err and "Traceback" not in err
+
+    def test_rows_past_the_cap_are_a_data_error(self, tmp_path, monkeypatch, capsys):
+        # K2,60 under a cap of four rows: its two hubs fit, its 60 leaves do not
+        path = tmp_path / "k2.txt"
+        path.write_text("".join(f"{u} {v}\n" for u in (0, 1) for v in range(2, 62)))
+        monkeypatch.setattr(geodetic.intervals, "TABLE_MEMORY_CAP", 4 * row_bytes(62))
+        assert main(["verify", str(path), "0", "1"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path), *map(str, range(2, 62))]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "cap" in err[0]
 
     def test_out_of_range_vertex(self, p4_file):
         assert main(["verify", p4_file, "0", "9"]) == 1

@@ -283,7 +283,7 @@ class TestPrunedPairScan:
         inst = Instance.of(g)
         members = bits & full_mask(g.n)
         before = pair_bounds(inst, members)
-        assert inst.rows.whole is None  # counted from the distances
+        assert not inst.has_table  # counted from the distances
         inst.table
         assert (pair_bounds(inst, members) == before).all()
 

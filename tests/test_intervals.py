@@ -381,12 +381,12 @@ class TestInstance:
 
     def test_rows_are_the_table_rows_once_it_exists(self):
         inst = Instance.of(generate(GenSpec("ER", 30, 90, seed=2)))
-        early = inst.rows[4]
+        early = inst[4]
         assert early == interval_row(inst.dist, 4)
         table = inst.table
         assert inst.table is table  # built at most once
         assert early == table[4]
-        assert all(inst.rows[v] is table[v] for v in range(inst.n))
+        assert all(inst[v] is table[v] for v in range(inst.n))
 
     @pytest.mark.parametrize("solve, tables", [
         (locally_greedy_geodetic, 0),
@@ -453,7 +453,7 @@ class TestInstance:
         calls = count_builds(monkeypatch)
         inst = Instance.of(complete_bipartite_graph(2, 4498))
         # the instance and its rows need no table, so only the table read raises
-        assert is_geodetic(inst.rows, 0b11)
+        assert is_geodetic(inst, 0b11)
         with pytest.raises(ValidationError, match="cap"):
             inst.table
         assert calls == {"all_pairs_distances": 1, "interval_table": 0}

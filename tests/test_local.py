@@ -1,15 +1,18 @@
 import pytest
 from hypothesis import given, settings
 
+import geodetic.intervals
+import geodetic.local
 from geodetic.bitset import full_mask, mask_of, vertices_of
 from geodetic.errors import ValidationError
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
 from geodetic.greedy import largest_increase
 from geodetic.intervals import (Cover, Instance, all_pairs_distances, interval_table,
-                                is_geodetic)
+                                is_geodetic, row_bytes)
 from geodetic.local import find_start, locally_greedy_geodetic
 from helpers import (
+    complete_bipartite_graph,
     complete_graph,
     connected_graphs,
     cycle_graph,
@@ -135,3 +138,33 @@ class TestLocallyGreedy:
             t = interval_table(all_pairs_distances(g))
             res = locally_greedy_geodetic(g)
             assert is_geodetic(t, mask_of(res.vertices))
+
+
+class TestRows:
+    def test_builds_one_row_per_member_and_none_to_check(self, monkeypatch):
+        built = []
+        build_row = geodetic.intervals.interval_row
+
+        def counted(d, v):
+            built.append(v)
+            return build_row(d, v)
+
+        at_finish = []
+        finish = geodetic.local.finish
+
+        def finish_counted(*args):
+            at_finish.append(len(built))
+            return finish(*args)
+
+        monkeypatch.setattr(geodetic.intervals, "interval_row", counted)
+        monkeypatch.setattr(geodetic.local, "finish", finish_counted)
+        res = locally_greedy_geodetic(generate(GenSpec("BA", 60, 200, seed=4)))
+        assert sorted(built) == list(res.vertices)
+        assert at_finish == [len(built)]  # the final check reuses the rows
+
+    def test_rows_past_the_cap_are_a_data_error(self, monkeypatch):
+        # on K2,60 locally greedy takes all 60 leaves, one row each
+        g = complete_bipartite_graph(2, 60)
+        monkeypatch.setattr(geodetic.intervals, "TABLE_MEMORY_CAP", 4 * row_bytes(g.n))
+        with pytest.raises(ValidationError, match="cap"):
+            locally_greedy_geodetic(g)
