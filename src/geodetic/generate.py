@@ -2,16 +2,19 @@
 
 Three families, all with an exact edge count and a connectivity guarantee:
 
-* ER: uniform choice of m distinct edges.
+* ER: uniform choice of m distinct edges, by a partial Fisher-Yates
+  shuffle whose m offsets come from one array draw.
 * WS: ring lattice with 2*floor(m/n) nearest neighbors, each lattice edge
   rewired with a small probability, topped up with uniform random edges to
   hit m exactly.  When m < n the lattice is empty and the family degenerates
   to uniform random edges.
 * BA: seed clique on d+1 vertices with d = max(1, floor(m/n)), then degree-
-  proportional attachment of d edges per new vertex, topped up to m.
+  proportional attachment of d edges per new vertex, topped up to m.  The
+  degrees live in a Fenwick tree, so a pick costs O(log n).
 
 A draw that comes out disconnected is retried with a derived sub-seed, up to
-a fixed retry budget.
+a fixed retry budget.  A draw that leaves a vertex without an edge is
+rejected before any Graph is built for it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import chain
+
+import numpy as np
 
 from .errors import GenerationError, ValidationError
 from .graph import Graph, is_connected
@@ -80,13 +85,19 @@ def edge_count_for_density(n: int, density: float) -> int:
     return int(frac * (n * (n - 1) // 2))
 
 
+def _row_offsets(n: int) -> np.ndarray:
+    """Offset of row u in the lexicographic pair list, u*(2n-u-1)/2, as int64."""
+    u = np.arange(n, dtype=np.int64)
+    return u * (2 * n - u - 1) // 2
+
+
 def _pair_decoder(n: int):
     """Map an index into the lexicographic list of pairs u < v to the pair.
 
     Row u of that list starts at offset u*(2n-u-1)/2; only the n offsets are
     stored, never the n(n-1)/2 pairs.
     """
-    offsets = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    offsets = _row_offsets(n).tolist()
 
     def pair(p: int) -> tuple[int, int]:
         u = bisect_right(offsets, p) - 1
@@ -104,19 +115,24 @@ def _top_up(edges: set[tuple[int, int]], n: int, m_target: int,
         edges.add(pair(rng.randrange(total)))
 
 
-def _draw_er(n: int, m: int, rng: SplitMix64) -> set[tuple[int, int]]:
-    pair = _pair_decoder(n)
+def _draw_er(n: int, m: int, rng: SplitMix64) -> list[tuple[int, int]]:
     total = n * (n - 1) // 2
-    # partial Fisher-Yates over the virtual index array 0..total-1: the first
-    # m slots are a uniform m-subset; only the swapped slots are stored
+    # partial Fisher-Yates over the virtual index array 0..total-1: slot t
+    # swaps with slot t + randrange(total - t), all m offsets drawn in one
+    # array call, and the first m slots are a uniform m-subset; only the
+    # swapped slots are stored
+    slots = np.arange(m, dtype=np.uint64)
+    swaps = (slots + rng.randrange_array(np.uint64(total) - slots)).tolist()
     swapped: dict[int, int] = {}
-    edges = set()
-    for t in range(m):
-        j = t + rng.randrange(total - t)
-        picked = swapped.get(j, j)
+    picked = []
+    for t, j in enumerate(swaps):
+        picked.append(swapped.get(j, j))
         swapped[j] = swapped.get(t, t)
-        edges.add(pair(picked))
-    return edges
+    # pair index p is (u, v) for the last row u whose offset is <= p
+    p = np.array(picked, dtype=np.int64)
+    offsets = _row_offsets(n)
+    u = np.searchsorted(offsets, p, side="right") - 1
+    return list(zip(u.tolist(), (u + 1 + p - offsets[u]).tolist()))
 
 
 def _draw_ws(n: int, m: int, rewire_prob: float, rng: SplitMix64) -> set[tuple[int, int]]:
@@ -144,26 +160,52 @@ def _draw_ws(n: int, m: int, rewire_prob: float, rng: SplitMix64) -> set[tuple[i
     return edges
 
 
+def _fenwick_add(tree: list[int], u: int, delta: int) -> None:
+    """Add delta to entry u of a Fenwick tree: tree[i] sums entries i - (i & -i) to i - 1."""
+    u += 1
+    while u < len(tree):
+        tree[u] += delta
+        u += u & -u
+
+
+def _fenwick_search(tree: list[int], r: int) -> int:
+    """First entry u whose running sum, entries 0..u, exceeds r.
+
+    r must be below the sum of all entries, and the tree's length must be a
+    power of two.
+    """
+    u = 0
+    step = len(tree) >> 1
+    while step:
+        below = tree[u + step]
+        if below <= r:
+            u += step
+            r -= below
+        step >>= 1
+    return u
+
+
 def _draw_ba(n: int, m: int, rng: SplitMix64) -> set[tuple[int, int]]:
     d = max(1, m // n)
     seed_size = min(d + 1, n)
     edges = {(u, v) for u in range(seed_size) for v in range(u + 1, seed_size)}
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
+    # a Fenwick tree over the vertex degrees, padded with zeros to a power of two
+    degrees = [0] * (1 << n.bit_length())
+    for u in range(seed_size):
+        _fenwick_add(degrees, u, seed_size - 1)
+    total = seed_size * (seed_size - 1)
     for v in range(seed_size, n):
         want = min(d, v)
         targets: set[int] = set()
         # degrees are fixed during one vertex's draws: each draw picks the
         # first u whose running degree sum exceeds it
-        cum = list(accumulate(degree[:v]))
         while len(targets) < want:
-            targets.add(bisect_right(cum, rng.randrange(cum[-1])))
+            targets.add(_fenwick_search(degrees, rng.randrange(total)))
         for u in targets:
             edges.add((u, v))
-            degree[u] += 1
-            degree[v] += 1
+            _fenwick_add(degrees, u, 1)
+        _fenwick_add(degrees, v, len(targets))
+        total += 2 * len(targets)
     _top_up(edges, n, m, rng)
     return edges
 
@@ -178,6 +220,8 @@ def generate(spec: GenSpec) -> Graph:
             edges = _draw_ws(spec.n, spec.m_target, spec.ws_rewire_prob, rng)
         else:
             edges = _draw_ba(spec.n, spec.m_target, rng)
+        if len(set(chain.from_iterable(edges))) < spec.n:
+            continue  # a vertex without an edge: disconnected, so build no Graph
         g = Graph(spec.n, edges)
         if is_connected(g):
             return g

@@ -3,13 +3,17 @@
 The on-disk format is one "u v" pair per line, 0-based ids, lines starting
 with '#' or '%' ignored.  The writer always emits u < v sorted
 lexicographically, so serialization is canonical and round-trips exactly.
-A Graph holds sorted neighbour tuples only; the forced core of simplicial
-vertices, read off the distances, lives on intervals.Instance.
+A Graph holds sorted neighbour tuples, and keeps its BFS depth from vertex 0
+and its CSR arrays once something asks for them; the forced core of
+simplicial vertices, read off the distances, lives on intervals.Instance.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import EdgeListParseError, ValidationError
 
@@ -24,27 +28,26 @@ class Graph:
     and inspection still work on arbitrary input.
     """
 
-    __slots__ = ("n", "m", "adj")
+    __slots__ = ("n", "m", "adj", "_depth", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValidationError("graph needs at least one vertex")
-        seen: set[tuple[int, int]] = set()
+        neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"vertex id out of range: ({u}, {v}) with n={n}")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
-            seen.add((u, v) if u < v else (v, u))
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in seen:
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
+            neighbors[u].append(v)
+            neighbors[v].append(u)
         self.n = n
-        self.m = len(seen)
         self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in neighbor_sets
+            tuple(sorted(set(nbrs))) for nbrs in neighbors
         )
+        self.m = sum(map(len, self.adj)) // 2
+        self._depth = -1    # bfs_depth's answer (None: disconnected); -1 until it runs
+        self._csr = None    # csr's arrays, once built
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -73,7 +76,13 @@ class Graph:
 
 def bfs_depth(g: Graph) -> int | None:
     """Depth of a BFS from vertex 0, which is vertex 0's eccentricity, or
-    None when the BFS leaves some vertex unreached."""
+    None when the BFS leaves some vertex unreached.  Run once per graph."""
+    if g._depth == -1:
+        g._depth = _scan_depth(g)
+    return g._depth
+
+
+def _scan_depth(g: Graph) -> int | None:
     seen = bytearray(g.n)
     seen[0] = 1
     frontier = [0]
@@ -91,6 +100,27 @@ def bfs_depth(g: Graph) -> int | None:
         reached += len(found)
         depth += 1
         frontier = found
+
+
+def csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour lists as CSR: nbrs[start[v]:start[v + 1]] are v's neighbours.
+
+    Built once per graph and kept, read-only.  The ids take the narrowest
+    unsigned dtype that holds n - 1.
+    """
+    if g._csr is None:
+        g._csr = _build_csr(g)
+    return g._csr
+
+
+def _build_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    start = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, g.adj), dtype=np.intp, count=g.n), out=start[1:])
+    nbrs = np.fromiter(chain.from_iterable(g.adj), dtype=np.min_scalar_type(g.n - 1),
+                       count=int(start[-1]))
+    start.setflags(write=False)
+    nbrs.setflags(write=False)
+    return start, nbrs
 
 
 def is_connected(g: Graph) -> bool:

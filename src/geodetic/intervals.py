@@ -30,14 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter, or_
 
 import numpy as np
 
 from .bitset import full_mask, mask_of, vertices_of
 from .errors import ValidationError
-from .graph import Graph, bfs_depth
+from .graph import Graph, bfs_depth, csr
 
 # Most memory an Instance's interval masks (rows or table) may take, in bytes.
 TABLE_MEMORY_CAP = 4 << 30
@@ -104,17 +104,6 @@ def _packed(member: np.ndarray) -> np.ndarray:
     return out.view(_WORD)
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbour lists as CSR: nbrs[start[v]:start[v + 1]] are v's neighbours.
-
-    The ids are uint16, which holds every id below DISTANCE_MAX_N.
-    """
-    start = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, g.adj), dtype=np.intp, count=g.n), out=start[1:])
-    nbrs = np.fromiter(chain.from_iterable(g.adj), dtype=np.uint16, count=int(start[-1]))
-    return start, nbrs
-
-
 def _fold_neighbours(fold: np.ufunc, rows: np.ndarray, start: np.ndarray,
                      nbrs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[v] = fold over rows[u] for the neighbours u of v; every v needs one.
@@ -139,15 +128,18 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
     The sources are bits of packed little-endian uint64 rows: row u of the
     frontier holds the sources whose current layer contains u.  One level
-    ORs the frontier rows of u's neighbours (_fold_neighbours), masks them
+    ORs the frontier rows of u's neighbours (_fold_neighbours over the
+    graph's kept CSR, graph.csr, which forced_core reads too), masks them
     with the sources that have not reached u yet, and ORs the new layer into
     the bit-planes of its level number; the planes are unpacked once at the
     end.  That costs O(diam * (m + n) * ceil(n / 64)) word operations plus
     one unpack per bit-plane, and O(n^2) bytes of temporaries whatever m is.
 
-    One scalar BFS from vertex 0 comes first: it rejects a disconnected graph
-    before the n^2 allocations, and its depth e bounds every distance by
-    min(n - 1, 2e), which fixes the number of planes.  The array takes the
+    One scalar BFS from vertex 0 comes first (graph.bfs_depth, run once per
+    graph, so a graph whose connectivity was already checked does not run
+    it again): it rejects a disconnected graph before the n^2 allocations,
+    and its depth e bounds every distance by min(n - 1, 2e), which fixes
+    the number of planes.  The array takes the
     narrowest unsigned dtype that holds twice the sentinel min(n, 2e) + 1,
     above every distance: uint8 whenever e <= 63 (at any n) or n <= 126, and
     uint16 beyond.  The interval and P(k) builds add two distances in that
@@ -158,7 +150,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     depth = bfs_depth(g)
     if depth is None:
         raise ValidationError("graph is disconnected")
-    start, nbrs = _csr(g)
+    start, nbrs = csr(g)
     frontier = _packed(np.eye(n, dtype=bool))  # level 0: each source alone
     unreached = _packed(~np.eye(n, dtype=bool))
     planes = [np.zeros_like(frontier) for _ in range(min(n - 1, 2 * depth).bit_length())]
@@ -192,7 +184,7 @@ def forced_core(g: Graph, dist: np.ndarray) -> int:
     if g.n == 1:
         return 1
     closed = _packed(dist <= 1)
-    start, nbrs = _csr(g)
+    start, nbrs = csr(g)
     common = _fold_neighbours(np.bitwise_and, closed, start, nbrs, np.empty_like(closed))
     return mask_of(np.flatnonzero(~(closed & ~common).any(axis=1)).tolist())
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from bisect import bisect_right
 from collections import deque
 
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 import geodetic.intervals
 from geodetic.errors import ValidationError
 from geodetic.graph import Graph
+from geodetic.rng import MASK64
 
 
 def path_graph(n: int) -> Graph:
@@ -277,3 +279,47 @@ def scan_largest_increase(cover) -> tuple[int | None, int]:
             best_count = count
             best = (i, union)
     return best
+
+
+class ScalarSplitMix64:
+    """Reference SplitMix64: the one-output-at-a-time recurrence in Python ints.
+
+    geodetic.rng.SplitMix64 computes its outputs in numpy blocks; every one
+    of its draws must read the same outputs as this one does.
+    """
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def randrange(self, bound: int) -> int:
+        limit = (1 << 64) - ((1 << 64) % bound)
+        while True:
+            r = self.next_u64()
+            if r < limit:
+                return r % bound
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * 2.0**-53
+
+
+def scalar_draw_er(n: int, m: int, rng) -> set[tuple[int, int]]:
+    """Reference ER draw: partial Fisher-Yates one scalar randrange at a time,
+    each pair index decoded by bisect over the n row offsets."""
+    offsets = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    total = n * (n - 1) // 2
+    swapped: dict[int, int] = {}
+    edges = set()
+    for t in range(m):
+        j = t + rng.randrange(total - t)
+        p = swapped.get(j, j)
+        swapped[j] = swapped.get(t, t)
+        u = bisect_right(offsets, p) - 1
+        edges.add((u, u + 1 + p - offsets[u]))
+    return edges

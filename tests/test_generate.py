@@ -1,17 +1,27 @@
 import hashlib
+import importlib
 import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodetic.errors import ValidationError
 from geodetic.generate import (
     FAMILIES,
     GenSpec,
+    _draw_er,
+    _fenwick_add,
+    _fenwick_search,
     benchmark_grid,
     edge_count_for_density,
     generate,
 )
-from geodetic.graph import is_connected, write_edge_list
+from geodetic.graph import Graph, is_connected, write_edge_list
+from geodetic.rng import SplitMix64, stream_seed
+from helpers import ScalarSplitMix64, scalar_draw_er
 
 # sha256 of write_edge_list(generate(spec)), pinned so draws stay byte-identical
 PINNED_EDGE_LIST_SHA256 = [
@@ -128,6 +138,56 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+class TestArrayDraws:
+    """The array ER draw and the Fenwick BA search against their scalar forms."""
+
+    @pytest.mark.parametrize("n,m,seed", [
+        (2, 1, 0), (10, 45, 3), (30, 200, 1), (1200, 5000, 0),
+        (100_000, 40, 2), (100_000, 3, 9)])  # at n = 100,000 the pair count passes 2^32
+    def test_er_matches_the_scalar_draw(self, n, m, seed):
+        fast, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+        edges = _draw_er(n, m, fast)
+        assert len(edges) == m
+        assert set(edges) == scalar_draw_er(n, m, ref)
+        assert fast.next_u64() == ref.next_u64()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 60), st.data())
+    def test_er_matches_the_scalar_draw_on_random_sizes(self, n, data):
+        m = data.draw(st.integers(1, n * (n - 1) // 2))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        assert set(_draw_er(n, m, SplitMix64(seed))) == scalar_draw_er(n, m, ScalarSplitMix64(seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=70).filter(any), st.data())
+    def test_fenwick_search_is_bisect_over_running_sums(self, degrees, data):
+        tree = [0] * (1 << len(degrees).bit_length())
+        for u, deg in enumerate(degrees):
+            _fenwick_add(tree, u, deg)
+        cum = list(accumulate(degrees))
+        r = data.draw(st.integers(0, cum[-1] - 1))
+        assert _fenwick_search(tree, r) == bisect_right(cum, r)
+
+    def test_retried_spec_builds_no_graph_for_isolated_draws(self, monkeypatch):
+        # attempts 0-8 of this spec each leave a vertex without an edge
+        spec = GenSpec("ER", 20, 25, 6)
+        built = []
+
+        def counted(n, edges):
+            built.append(n)
+            return Graph(n, edges)
+
+        monkeypatch.setattr(importlib.import_module("geodetic.generate"), "Graph", counted)
+        g = generate(spec)
+        assert len(built) == 1
+        for attempt in range(10):  # the draw-everything loop, as a reference
+            want = Graph(20, scalar_draw_er(20, 25, ScalarSplitMix64(stream_seed(6, attempt))))
+            if is_connected(want):
+                break
+        assert attempt == 9
+        assert g == want
 
 
 class TestBenchmarkGrid:

@@ -28,6 +28,23 @@ class TestGraph:
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1
 
+    def test_duplicate_and_reversed_edges_collapse(self):
+        g = Graph(3, [(0, 1), (1, 0), (1, 2), (0, 1), (2, 1)])
+        assert g.m == 2
+        assert g.adj == ((1,), (0, 2), (1,))
+        assert list(g.edges()) == [(0, 1), (1, 2)]
+
+    def test_one_shot_generator_input(self):
+        g = Graph(4, ((i, i + 1) for i in range(3)))
+        assert g.m == 3
+        assert g == path_graph(4)
+
+    def test_first_bad_edge_in_input_order_is_reported(self):
+        with pytest.raises(ValidationError, match="self-loop at vertex 1"):
+            Graph(3, [(0, 1), (1, 1), (0, 5)])
+        with pytest.raises(ValidationError, match=r"out of range: \(0, 5\)"):
+            Graph(3, [(0, 1), (0, 5), (1, 1)])
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError):
             Graph(2, [(0, 0)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geodetic.graph
 from geodetic.bitset import full_mask, mask_of, vertices_of
 from geodetic.errors import ValidationError
 from geodetic.exact import brute_force_geodetic, exact_geodetic
@@ -415,6 +416,25 @@ class TestInstance:
                 assert ref() is None
         finally:
             gc.enable()
+
+    def test_generated_graph_shares_one_bfs_and_one_csr(self, monkeypatch):
+        # generate's connectivity check, the distances and the forced core
+        # all read the graph's one BFS from vertex 0 and its one CSR
+        runs = {"_scan_depth": 0, "_build_csr": 0}
+        for name in runs:
+            original = getattr(geodetic.graph, name)
+
+            def counted(g, _original=original, _name=name):
+                runs[_name] += 1
+                return _original(g)
+
+            monkeypatch.setattr(geodetic.graph, name, counted)
+        g = generate(GenSpec("ER", 40, 200, seed=1))
+        assert runs == {"_scan_depth": 1, "_build_csr": 0}
+        calls = count_builds(monkeypatch)
+        Instance.of(g)
+        assert runs == {"_scan_depth": 1, "_build_csr": 1}
+        assert calls["all_pairs_distances"] == 1
 
     def test_instance_passes_through(self):
         inst = Instance.of(path_graph(4))
