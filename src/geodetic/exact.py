@@ -14,8 +14,11 @@ at most the sum of g(a), a's own gain, plus the sum over pairs of
 p(a, b) = |I(a, b) & U|.  Each pair's p sits in both of its picks' rows, so
 half the sum of caps 2 g(a) + (the slots - 1 largest p(a, .)) bounds what T
 adds.  First picks stop at the first position where the `slots` largest
-caps from there on sum to less than 2|U|, at every depth alike.
-Optional wall-clock and node budgets stop the search early.  On expiry the
+caps from there on sum to less than 2|U|, at every depth alike.  A node
+with slots = 2 counts no pairs: its slots = 3 parent records each
+candidate's largest p(a, .), which still bounds the child's, as the child's
+candidates are a subset of the parent's and U only shrinks
+(stale_pair_reach).  Optional wall-clock and node budgets stop the search early.  On expiry the
 result is the greedy cover (greedy_cover) of the same instance, flagged
 non-optimal; it is built before the search starts, so greedy's run time
 counts against a time budget.
@@ -57,12 +60,14 @@ class _BudgetExhausted(Exception):
 
 
 def completion_reach(table: list[list[int]], scored: list[tuple[int, int]],
-                     uncov_mask: int, slots: int) -> list[int]:
+                     uncov_mask: int, slots: int, pair_max: list[int] | None = None
+                     ) -> list[int]:
     """reach[pos] is at least twice what up to `slots` picks from scored[pos:] add.
 
     scored holds (gain, vertex) pairs, gains masked by uncov_mask (U).  For
     picks T, 2 * sum_{a<b in T} p(a, b) = sum_{a in T} sum_{b in T - a} p(a, b),
-    and each inner sum is at most the slots - 1 largest p(a, .).
+    and each inner sum is at most the slots - 1 largest p(a, .).  pair_max,
+    when given, receives each scored vertex's largest p(a, .), by vertex.
     """
     vertices = [v for _, v in scored]
     m = len(vertices)
@@ -73,10 +78,31 @@ def completion_reach(table: list[list[int]], scored: list[tuple[int, int]],
         pairs = counts[pos * m:pos * m + m]
         pairs[pos] = 0
         pairs.sort()
+        if pair_max is not None:
+            pair_max[vertices[pos]] = pairs[-1]
         heapq.heappush(top, 2 * scored[pos][0].bit_count() + sum(pairs[1 - slots:]))
         if len(top) > slots:
             heapq.heappop(top)
         reach.append(sum(top))
+    return reach[::-1]
+
+
+def stale_pair_reach(scored: list[tuple[int, int]], pair_max: list[int]) -> list[int]:
+    """completion_reach at `slots` = 2 from a parent's pair maxima, counting no pairs.
+
+    pair_max[a] is the largest p(a, .) that completion_reach recorded at the
+    parent, over the parent's candidates and uncovered set.  The candidates
+    here are a subset of those and U only shrinks, so it is still at least
+    every p(a, b) here, and 2 g(a) + pair_max[a], with g(a) fresh, caps a.
+    """
+    reach, first, second = [], 0, 0  # the two largest caps from pos on
+    for gain, v in reversed(scored):
+        cap = 2 * gain.bit_count() + pair_max[v]
+        if cap > first:
+            first, second = cap, first
+        elif cap > second:
+            second = cap
+        reach.append(first + second)
     return reach[::-1]
 
 
@@ -126,11 +152,12 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
             raise _BudgetExhausted
 
     def search(items: list[tuple[int, int]], row: list[int], cover: int,
-               slots: int) -> int | None:
+               slots: int, pair_max: list[int] | None = None) -> int | None:
         """Pick `slots` vertices from items; returns their mask or None.
 
         items are (gain, vertex) pairs masked by an ancestor's uncovered set;
         row is the last pick's table row, OR-ed into each gain to score it here.
+        pair_max holds the pair maxima a `slots` = 3 parent recorded.
         """
         tick()
         if cover == full:
@@ -149,11 +176,15 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
         scored = sorted(
             (((gain | row[i]) & uncov_mask, i) for gain, i in items),
             key=lambda t: (-t[0].bit_count(), t[1]))
-        reach = completion_reach(table, scored, uncov_mask, slots)
+        child_max = [0] * n if slots == 3 else None
+        if pair_max is not None:
+            reach = stale_pair_reach(scored, pair_max)
+        else:
+            reach = completion_reach(table, scored, uncov_mask, slots, child_max)
         for pos, (gain, i) in enumerate(scored):
             if reach[pos] < 2 * uncovered:
                 return None  # reach only falls as pos grows
-            found = search(scored[pos + 1:], table[i], cover | gain, slots - 1)
+            found = search(scored[pos + 1:], table[i], cover | gain, slots - 1, child_max)
             if found is not None:
                 return found | (1 << i)
         return None

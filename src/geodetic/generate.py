@@ -13,7 +13,8 @@ Three families, all with an exact edge count and a connectivity guarantee:
   degrees live in a Fenwick tree, so a pick costs O(log n).
 
 A draw that comes out disconnected is retried with a derived sub-seed, up to
-a fixed retry budget.  A draw that leaves a vertex without an edge is
+a retry budget that grows with the expected number of isolated vertices
+(attempt_budget).  A draw that leaves a vertex without an edge is
 rejected before any Graph is built for it.
 """
 
@@ -32,7 +33,8 @@ from .graph import Graph, is_connected
 from .rng import SplitMix64, stream_seed
 
 FAMILIES = ("ER", "WS", "BA")
-MAX_ATTEMPTS = 100
+MAX_ATTEMPTS = 100       # fewest draws generate tries before giving up...
+MAX_ATTEMPTS_CAP = 10_000  # ...and most
 
 STANDARD_SIZES = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 STANDARD_DENSITIES = (0.2, 0.4, 0.6, 0.8)
@@ -210,9 +212,27 @@ def _draw_ba(n: int, m: int, rng: SplitMix64) -> set[tuple[int, int]]:
     return edges
 
 
+def attempt_budget(n: int, m: int) -> int:
+    """Draws generate tries for n vertices and m edges before giving up.
+
+    A uniform draw leaves about Poisson(mu) vertices without an edge, with
+    mu = n e^(-2m/n), and a sparse draw with none is connected with high
+    probability, so a draw succeeds with probability about e^(-mu).  About
+    10 e^mu draws then all fail with probability about e^(-10).  The budget
+    is that, at least MAX_ATTEMPTS and at most MAX_ATTEMPTS_CAP.
+    """
+    mu = n * math.exp(-2 * m / n)
+    return max(MAX_ATTEMPTS, math.ceil(10 * math.exp(min(mu, math.log(MAX_ATTEMPTS_CAP / 10)))))
+
+
 def generate(spec: GenSpec) -> Graph:
-    """Build the graph described by spec; deterministic in all fields."""
-    for attempt in range(MAX_ATTEMPTS):
+    """Build the graph described by spec; deterministic in all fields.
+
+    Attempt k draws from the sub-seed stream_seed(spec.seed, k), so a larger
+    budget leaves every draw that succeeds within a smaller one unchanged.
+    """
+    budget = attempt_budget(spec.n, spec.m_target)
+    for attempt in range(budget):
         rng = SplitMix64(stream_seed(spec.seed, attempt))
         if spec.family == "ER":
             edges = _draw_er(spec.n, spec.m_target, rng)
@@ -226,7 +246,7 @@ def generate(spec: GenSpec) -> Graph:
         if is_connected(g):
             return g
     raise GenerationError(
-        f"no connected draw for {spec} in {MAX_ATTEMPTS} attempts")
+        f"no connected draw for {spec} in {budget} attempts")
 
 
 def benchmark_grid(scheme: str, families: tuple[str, ...] = FAMILIES,

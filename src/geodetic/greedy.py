@@ -14,16 +14,31 @@ Pair scoring is exact but pruned by a per-pair stale bound.  With U the
 uncovered vertices and s_i = |gains[i] & U|, a pair scores
 |U & (I(i, j) | gains[i] | gains[j])| <= s_i + s_j + |I(i, j) & U|.
 Coverage only grows, so U only shrinks and |I(i, j) & U| can only fall:
-the count last measured for the pair (its stale entry, |I(i, j)| before
-any measurement) is never below the current one, and the sum with it in
-place of the current count is an admissible bound.  A round computes every
-bound in numpy, scores the pair with the largest bound, and then scores in
-row-major order every pair whose bound reaches that score (or 1), writing
-each scored pair's fresh count back as its stale entry.  Every pair that
-could tie or beat the best score is among those scored, they are visited
-in the same order a full scan visits them, and only a strictly larger
-count replaces the best, so the lexicographically first best pair wins,
-exactly as when every pair is scored.
+the count last measured for the pair (its stale entry, |I(i, j)| from
+Instance.sizes before any measurement) is never below the current one, and
+the sum with it in place of the current count is an admissible bound.  A
+round computes every bound in numpy, scores the pair with the largest
+bound, and takes as its floor the larger of that score, the bar and 1.  It
+then scores, in row-major order, every pair whose bound reaches the floor,
+and writes each scored pair's fresh count back as its stale entry.  Every
+pair that could reach the floor is among those, they are visited in the
+order a full scan visits them, and only a strictly larger count replaces
+the best, so the lexicographically first best pair wins, exactly as when
+every pair is scored.
+
+The bar: greedy_cover takes the pair only when its count is at least
+twice the best single gain, so it passes that as the bar, and a pair
+below the bar is never returned.  When the best pair reaches the bar it is
+returned, as without one; when it does not, the single wins whatever the
+pair, so no set changes.  Raising the floor to the bar skips most pairs
+of the rounds a single wins.
+
+The picked pairs are scored in batches of FIRST_BATCH, then twice as many
+each time: one C-level pass per batch maps and_ and int.bit_count over the
+masks into one np.fromiter, which is also the batch's stale write-back.
+Full masks are built only for pairs whose fresh count plus both single
+counts passes the best so far.  No pair covers more than U, so once one
+does, the later batches are not scored.
 
 Seeding: the set starts from the forced core (Instance.forced), which lies
 in every geodetic set; without one the first pick is a pair, as single
@@ -36,9 +51,8 @@ one new vertex and a pair pick (at least twice the best single gain) two.
 from __future__ import annotations
 
 import time
-from array import array
 from itertools import repeat
-from operator import and_
+from operator import and_, getitem
 
 import numpy as np
 
@@ -51,6 +65,9 @@ from .result import GeodeticResult, finish
 # each added, its bound stays negative for every n the distance cap admits.
 NO_PAIR = np.iinfo(np.int16).min
 
+# Pairs scored in a pair round's first batch; each later batch is twice the size.
+FIRST_BATCH = 256
+
 
 def largest_increase(cover: Cover) -> tuple[int | None, int]:
     """Best single vertex by the number of uncovered vertices it adds.
@@ -60,7 +77,7 @@ def largest_increase(cover: Cover) -> tuple[int | None, int]:
     index.  Members need no test: a member's gain lies in the coverage, so
     it counts 0.
     """
-    uncovered = ~cover.coverage
+    uncovered = full_mask(len(cover.gains)) & ~cover.coverage
     counts = list(map(int.bit_count, map(and_, cover.gains, repeat(uncovered))))
     best = max(counts)
     if not best:
@@ -72,26 +89,11 @@ def largest_increase(cover: Cover) -> tuple[int | None, int]:
 def pair_bounds(inst: Instance, members: int) -> np.ndarray:
     """Fresh stale matrix: |I(i, j)| for candidate pairs i < j, NO_PAIR elsewhere.
 
-    Once the instance's table is built, |I(i, j)| is the bit count of its
-    mask.  Before that it is the number of k with d(i, k) + d(k, j) = d(i, j),
-    counted in numpy from the distances one row of pairs at a time, so no
-    mask is built: n^3 / 2 byte compares, cheaper than building the table
-    but dearer than n^2 / 2 bit counts.  The lower triangle, the diagonal and
-    the row and column of every vertex in members hold NO_PAIR, so their
-    bounds stay negative and no scan ever picks them.
+    A copy of the instance's sizes (Instance.sizes).  The lower triangle, the
+    diagonal and the row and column of every vertex in members hold NO_PAIR,
+    so their bounds stay negative and no scan ever picks them.
     """
-    n = inst.n
-    stale = np.full((n, n), NO_PAIR, dtype=np.int16)
-    if inst.has_table:
-        for i, row in enumerate(inst.table):
-            stale[i, i + 1:] = np.fromiter(map(int.bit_count, row[i + 1:]),
-                                           dtype=np.int16, count=n - i - 1)
-    else:
-        dist = inst.dist
-        for i in range(n - 1):
-            di = dist[i]
-            on_path = (di + dist[i + 1:]) == di[i + 1:, None]  # [j - i - 1, k]
-            stale[i, i + 1:] = on_path.sum(axis=1, dtype=np.int16)
+    stale = np.where(np.tri(inst.n, dtype=bool), np.int16(NO_PAIR), inst.sizes)
     for v in vertices_of(members):
         exclude(stale, v)
     return stale
@@ -103,47 +105,59 @@ def exclude(stale: np.ndarray, v: int) -> None:
     stale[:, v] = NO_PAIR
 
 
-def largest_increase_pair(cover: Cover, stale: np.ndarray
+def largest_increase_pair(cover: Cover, stale: np.ndarray, bar: int = 0
                           ) -> tuple[int | None, int | None, int]:
     """Best pair: uncovered part of the pair interval plus both single gains.
 
     Ties go to the lexicographically first pair.  stale is the matrix from
     pair_bounds, kept across rounds with every member excluded; this call
-    tightens the entries of the pairs it scores.  Returns (None, None, 0)
-    when fewer than two candidates remain or no pair adds coverage.
+    tightens the entries of the pairs it scores.  A pair scoring below bar is
+    never returned: the result is the best pair when its count reaches bar,
+    otherwise (None, None, 0), as it is when fewer than two candidates remain
+    or no pair adds coverage.  The default bar of 0 asks for the best pair.
     """
     table = cover.table
     n = len(table)
-    if cover.coverage == full_mask(n):
-        return None, None, 0  # stale entries would still admit every pair
-    uncovered = ~cover.coverage
+    uncovered = full_mask(n) & ~cover.coverage
+    most = uncovered.bit_count()  # no pair covers more
+    if most < max(bar, 1):
+        return None, None, 0  # no pair reaches the bar, or none adds coverage
     gains = [union & uncovered for union in cover.gains]
-    counts = list(map(int.bit_count, gains))
-    single = np.array(counts, dtype=np.int16)
+    single = np.fromiter(map(int.bit_count, gains), dtype=np.int16, count=n)
     bound = stale + single[:, None]
     bound += single
     top = int(bound.argmax())
-    if bound.flat[top] < 1:
+    if bound.flat[top] < max(bar, 1):
         return None, None, 0
     i, j = divmod(top, n)
-    floor = max(((table[i][j] & uncovered) | gains[i] | gains[j]).bit_count(), 1)
+    top_count = ((table[i][j] & uncovered) | gains[i] | gains[j]).bit_count()
+    floor = max(top_count, bar, 1)
     picked = np.flatnonzero(bound >= floor)
     del bound  # up to n^2 entries: free them before the scan
-    fresh = array("h")
+    rows, cols = np.divmod(picked, n)
+    heads, tails = rows.tolist(), cols.tolist()
+    singles = single[rows]
+    singles += single[cols]
     best: tuple[int | None, int | None, int] = (None, None, 0)
-    best_count = 0
-    for p in memoryview(picked):  # Python ints without copying the indices
-        i, j = divmod(p, n)
-        part = table[i][j] & uncovered
-        count = part.bit_count()
-        fresh.append(count)
-        if count + counts[i] + counts[j] > best_count:
-            mask = part | gains[i] | gains[j]
-            count = mask.bit_count()
-            if count > best_count:
-                best_count = count
-                best = (i, j, mask)
-    stale.flat[picked] = np.frombuffer(fresh, dtype=np.int16)
+    best_count = floor - 1
+    start, size = 0, FIRST_BATCH
+    while start < len(heads) and best_count < most:
+        stop = min(start + size, len(heads))
+        parts = map(and_, map(getitem, map(table.__getitem__, heads[start:stop]),
+                              tails[start:stop]), repeat(uncovered))
+        fresh = np.fromiter(map(int.bit_count, parts), dtype=np.int16, count=stop - start)
+        stale.flat[picked[start:stop]] = fresh
+        fresh += singles[start:stop]  # now each pair's bound with its fresh count
+        hits = np.flatnonzero(fresh > best_count)
+        for p, reach in zip((hits + start).tolist(), fresh[hits].tolist()):  # row-major
+            if reach > best_count:
+                i, j = heads[p], tails[p]
+                mask = (table[i][j] & uncovered) | gains[i] | gains[j]
+                count = mask.bit_count()
+                if count > best_count:
+                    best_count = count
+                    best = (i, j, mask)
+        start, size = stop, 2 * size
     return best
 
 
@@ -170,7 +184,8 @@ def greedy_cover(inst: Instance, add_one: bool = False) -> int:
     stale = pair_bounds(inst, cover.members)
     while True:
         ell, gain_single = largest_increase(cover)
-        pk, ph, gain_pair = largest_increase_pair(cover, stale)
+        # a pair wins only with at least twice the single's gain
+        pk, ph, gain_pair = largest_increase_pair(cover, stale, 2 * gain_single.bit_count())
         if not (gain_single or gain_pair):
             return cover.members
         # single wins when its gain exceeds half the pair gain

@@ -20,6 +20,16 @@ row after, and both count against TABLE_MEMORY_CAP.  Greedy, exact and brute
 force read the table; locally greedy, add-one, the final check of every
 result and `geodetic verify` read only the rows of the vertices they pick.
 
+interval_table builds the table one block of rows at a time (_row_blocks):
+one broadcast compare of the block's rows against every later row, one
+packbits and one tolist of byte strings per block, with the block's
+temporaries held to BLOCK_BYTES, so the per-row numpy overhead that
+dominated small graphs is paid once per block.  Instance.sizes holds
+|I(i, j)| for every pair as one int16 matrix, counted once per Instance:
+the table build sums its own compares into it, and read before the table,
+interval_sizes sums the same blocks without building a mask.  Greedy's pair
+bounds start from it, so greedy and add-one on one Instance count it once.
+
 A Cover is a vertex set grown one vertex at a time, with its closure and,
 for every vertex j, the union of I(s, j) over the members s.  Greedy, add-one,
 locally greedy and the exact search's forced core all grow their sets
@@ -28,6 +38,7 @@ through it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -41,6 +52,10 @@ from .graph import Graph, bfs_depth, csr
 
 # Most memory an Instance's interval masks (rows or table) may take, in bytes.
 TABLE_MEMORY_CAP = 4 << 30
+
+# Most memory the temporaries of one block of rows may take: an interval_table
+# or interval_sizes row block, or a run of gathered neighbour rows.
+BLOCK_BYTES = 1 << 18
 
 # Largest n all_pairs_distances accepts.  Greedy's pair bounds add three
 # counts of at most n each in int16, so 3n must fit.
@@ -109,13 +124,16 @@ def _fold_neighbours(fold: np.ufunc, rows: np.ndarray, start: np.ndarray,
     """out[v] = fold over rows[u] for the neighbours u of v; every v needs one.
 
     The neighbour rows are gathered for a run of vertices at a time, at most
-    8n rows per run (a vertex has fewer than n), so for rows of n bits the
-    gathered copy stays within about n^2 bytes however many edges there are.
+    max(8n, BLOCK_BYTES / row size) rows per run (a vertex has fewer than n),
+    so for rows of n bits the gathered copy stays within about
+    max(n^2, BLOCK_BYTES) bytes however many edges there are; a small graph
+    gathers all its neighbour rows in one run.
     """
     n = len(start) - 1
+    cap = max(8 * n, BLOCK_BYTES // rows[:1].nbytes)
     a = 0
     while a < n:
-        b = max(int(np.searchsorted(start, start[a] + 8 * n, "right")) - 1, a + 1)
+        b = max(int(np.searchsorted(start, start[a] + cap, "right")) - 1, a + 1)
         lo = start[a]
         gathered = np.take(rows, nbrs[lo:start[b]], axis=0)
         fold.reduceat(gathered, start[a:b] - lo, axis=0, out=out[a:b])
@@ -203,19 +221,68 @@ def interval_row(d: np.ndarray, v: int) -> list[int]:
     return _masks((dv[None, :] + d) == dv[:, None])
 
 
-def interval_table(d: np.ndarray) -> list[list[int]]:
+def _row_blocks(d: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, member) for consecutive row blocks a <= i < b of the interval relation.
+
+    member[i - a, j - a, k] == (d(i,k) + d(k,j) == d(i,j)) for j >= a; the
+    columns j < a are left out, as the blocks before hold them.  A block
+    takes as many rows as keep its sum and compare temporaries within
+    BLOCK_BYTES, at least one.
+    """
+    n = len(d)
+    step = max(1, BLOCK_BYTES // max(1, n * n * (d.itemsize + 1)))
+    for a in range(0, n, step):
+        da = d[a:a + step]
+        yield a, (da[:, None, :] + d[None, a:]) == da[:, a:, None]
+
+
+def _count_block(sizes: np.ndarray, a: int, member: np.ndarray) -> None:
+    """Write |I(i, j)| = |I(j, i)| into sizes for one block of _row_blocks."""
+    block = member.sum(axis=2, dtype=np.int16)
+    sizes[a:a + len(block), a:] = block
+    sizes[a:, a:a + len(block)] = block.T
+
+
+def interval_table(d: np.ndarray, sizes: np.ndarray | None = None) -> list[list[int]]:
     """Square table: rows[i][j] is the mask of I(i, j) for every i and j.
 
-    Only the j >= i half is computed; rows[j][i] is the same int object as
-    rows[i][j], so the lower half costs list slots, not new masks.
+    Built one block of rows at a time (_row_blocks): one broadcast compare,
+    one packbits and one tolist of byte strings per block, so the per-row
+    numpy overhead is paid once per block.  Only the j >= i masks are
+    converted; rows[j][i] is the same int object as rows[i][j], so the lower
+    half costs list slots, not new masks.  sizes, when given, is an (n, n)
+    int16 array that receives |I(i, j)| for every pair, counted from the
+    same compares: the bit counts of the masks.
     """
     rows: list[list[int]] = []
-    for i in range(len(d)):
-        di = d[i]
-        # member[j - i, k] == (d(i,k) + d(k,j) == d(i,j)) for j >= i
-        rows.append(list(map(itemgetter(i), rows))
-                    + _masks((di[None, :] + d[i:]) == di[i:, None]))
+    n = len(d)
+    for a, member in _row_blocks(d):
+        if sizes is not None:
+            _count_block(sizes, a, member)
+        packed = np.packbits(member, axis=2, bitorder="little")
+        del member
+        chunks = packed.view(np.dtype((np.void, packed.shape[2]))).ravel().tolist()
+        width = n - a
+        for r in range(len(packed)):
+            i = a + r
+            row = list(map(itemgetter(i), rows))  # the rows above give j < i
+            row += map(int.from_bytes, chunks[r * width + r:(r + 1) * width], repeat("little"))
+            rows.append(row)
     return rows
+
+
+def interval_sizes(d: np.ndarray) -> np.ndarray:
+    """|I(i, j)| for every pair as int16, counted from the distances.
+
+    The number of k with d(i, k) + d(k, j) = d(i, j), summed over the same
+    row blocks interval_table compares, so no mask is built: cheaper than
+    building the table.
+    """
+    n = len(d)
+    sizes = np.empty((n, n), dtype=np.int16)
+    for a, member in _row_blocks(d):
+        _count_block(sizes, a, member)
+    return sizes
 
 
 def closure(table: list[list[int]] | Instance, members: int) -> int:
@@ -298,9 +365,27 @@ class Instance:
         """Square interval masks, from interval_table: built on first read, at most once."""
         require_table_fits(self.n)
         self._rows.clear()  # the table's rows replace them
-        table = interval_table(self.dist)
+        # the table counts its masks' bits for sizes, unless they are counted
+        sizes = None if "sizes" in self.__dict__ else np.empty((self.n,) * 2, dtype=np.int16)
+        table = interval_table(self.dist, sizes)
         self._rows.update(enumerate(table))
+        if sizes is not None:
+            sizes.setflags(write=False)
+            self.__dict__["sizes"] = sizes
         return table
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Read-only int16 matrix of |I(i, j)|, counted once per instance.
+
+        The table build counts the bits of its masks as it makes them and
+        leaves them here; read before the table exists, it is interval_sizes'
+        count from the distances.  Greedy's pair bounds copy it, so greedy
+        and add-one on one instance count the sizes once.
+        """
+        sizes = interval_sizes(self.dist)
+        sizes.setflags(write=False)
+        return sizes
 
     @property
     def has_table(self) -> bool:

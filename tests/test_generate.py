@@ -1,8 +1,9 @@
 import hashlib
 import importlib
+import math
 import tracemalloc
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 from geodetic.errors import ValidationError
 from geodetic.generate import (
     FAMILIES,
+    MAX_ATTEMPTS,
+    MAX_ATTEMPTS_CAP,
     GenSpec,
     _draw_er,
     _fenwick_add,
     _fenwick_search,
+    attempt_budget,
     benchmark_grid,
     edge_count_for_density,
     generate,
@@ -138,6 +142,30 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+class TestAttemptBudget:
+    def test_dense_specs_keep_the_floor(self):
+        assert attempt_budget(30, 87) == attempt_budget(20000, 199990) == MAX_ATTEMPTS
+
+    def test_grows_with_expected_isolated_vertices_up_to_the_cap(self):
+        n, m = 2000, 5991  # mu = n e^(-2m/n) = 5.0
+        assert attempt_budget(n, m) == math.ceil(10 * math.exp(n * math.exp(-2 * m / n)))
+        assert 1400 < attempt_budget(n, m) < 1600
+        assert attempt_budget(100000, 99999) == MAX_ATTEMPTS_CAP  # mu about 13,500
+
+    def test_sparse_er_draw_past_the_old_fixed_budget(self):
+        # mu = 5, so a draw is connected with probability about e^-5; seed 2
+        # first draws a connected graph on attempt 119, past the fixed budget
+        # of 100 draws that raised GenerationError here
+        spec = GenSpec("ER", 2000, 5991, seed=2)
+        g = generate(spec)
+        assert g.m == 5991 and is_connected(g)
+        assert g == Graph(2000, _draw_er(2000, 5991, SplitMix64(stream_seed(2, 119))))
+        assert not any(
+            is_connected(Graph(2000, edges))
+            for edges in (_draw_er(2000, 5991, SplitMix64(stream_seed(2, k))) for k in range(119))
+            if len(set(chain.from_iterable(edges))) == 2000)
 
 
 class TestArrayDraws:

@@ -10,6 +10,7 @@ from geodetic.errors import ValidationError
 from geodetic.generate import GenSpec, generate
 from geodetic.graph import Graph
 from geodetic.greedy import (
+    FIRST_BATCH,
     NO_PAIR,
     exclude,
     greedy_cover,
@@ -236,7 +237,7 @@ def graphs_with_and_without_leaves(draw) -> Graph:
 def oracle_cover(inst: Instance, add_one: bool = False) -> int:
     """greedy_cover with every pair step taken by the exhaustive scan."""
     with mock.patch("geodetic.greedy.largest_increase_pair",
-                    lambda cover, stale: exhaustive_pair(cover)):
+                    lambda cover, stale, bar=0: exhaustive_pair(cover)):
         return greedy_cover(inst, add_one)
 
 
@@ -249,12 +250,13 @@ class TestPrunedPairScan:
         pruned = largest_increase_pair
         steps = []
 
-        def checked(cover, stale):
+        def checked(cover, stale, bar=0):
             want = exhaustive_pair(cover)
             fresh = pair_bounds(Instance.of(g), cover.members)
             assert pruned(cover, fresh) == want  # bounds built afresh
-            got = pruned(cover, stale)    # bounds carried across rounds
-            assert got == want
+            assert pruned(cover, stale.copy()) == want  # bounds carried across rounds
+            got = pruned(cover, stale, bar)  # carried, under greedy's bar
+            assert got == (want if want[2].bit_count() >= bar else (None, None, 0))
             steps.append(got)
             return got
 
@@ -262,6 +264,33 @@ class TestPrunedPairScan:
             members = greedy_cover(Instance.of(g))
         assert steps[-1] == (None, None, 0)
         assert is_geodetic(interval_table(all_pairs_distances(g)), members)
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(min_n=2, max_n=20), st.data())
+    def test_a_bar_returns_the_exhaustive_pair_or_none(self, g, data):
+        members = data.draw(st.integers(0, full_mask(g.n)), label="members")
+        bar = data.draw(st.integers(0, g.n + 1), label="bar")
+        batch = data.draw(st.sampled_from([1, 3, FIRST_BATCH]), label="first batch")
+        cover = seeded_cover(g, members)
+        want = exhaustive_pair(cover)
+        with mock.patch("geodetic.greedy.FIRST_BATCH", batch):
+            got = largest_increase_pair(cover, pair_bounds(Instance.of(g), cover.members), bar)
+        assert got == (want if want[2].bit_count() >= bar else (None, None, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_with_and_without_leaves())
+    def test_either_sizes_path_gives_the_oracle_sets(self, g):
+        # the pair bounds start from Instance.sizes, counted from the table's
+        # masks when it is built first and from the distances otherwise
+        for add_one in (False, True):
+            want = oracle_cover(Instance.of(g), add_one)
+            table_first = Instance.of(g)
+            table_first.table
+            assert greedy_cover(table_first, add_one) == want
+            distances_first = Instance.of(g)
+            distances_first.sizes
+            assert not distances_first.has_table
+            assert greedy_cover(distances_first, add_one) == want
 
     @pytest.mark.parametrize("family", ["ER", "WS", "BA"])
     def test_whole_set_matches_the_exhaustive_loop_at_n200(self, family):

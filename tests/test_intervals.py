@@ -23,6 +23,7 @@ from geodetic.intervals import (
     all_pairs_distances,
     closure,
     interval_row,
+    interval_sizes,
     interval_table,
     is_geodetic,
     pk_table,
@@ -187,6 +188,81 @@ class TestIntervalTable:
         for i in range(g.n):
             for j in range(i, g.n):
                 assert set(vertices_of(t[i][j])) == oracle_interval(g, i, j)
+
+
+def rows_per_block(monkeypatch, d, rows: int) -> None:
+    """Set BLOCK_BYTES so that interval_table and interval_sizes take `rows` rows a block."""
+    n = len(d)
+    monkeypatch.setattr(geodetic.intervals, "BLOCK_BYTES", rows * n * n * (d.itemsize + 1))
+
+
+class TestBlockedTable:
+    """The row-block build against a build of one row at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 14])
+    def test_matches_the_per_row_build_around_block_boundaries(self, monkeypatch, n):
+        # four rows a block: n = 3, 4, 5 sit at the first boundary and
+        # n = 9 and 14 take several blocks, the last one partial
+        graphs = [path_graph(n)]
+        if n >= 3:
+            graphs += [cycle_graph(n), generate(GenSpec("BA", n, 2 * n - 3, seed=n))]
+        for g in graphs:
+            d = all_pairs_distances(g)
+            rows_per_block(monkeypatch, d, 4)
+            sizes = np.empty((n, n), dtype=np.int16)
+            t = interval_table(d, sizes)
+            assert t == [interval_row(d, v) for v in range(n)]
+            assert all(t[i][j] is t[j][i] for i in range(n) for j in range(n))
+            assert sizes.tolist() == [[m.bit_count() for m in row] for row in t]
+            assert interval_sizes(d).tolist() == sizes.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(max_n=20), st.integers(1, 21))
+    def test_any_block_height_builds_the_same_table(self, g, rows):
+        d = all_pairs_distances(g)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            rows_per_block(monkeypatch, d, rows)
+            t = interval_table(d)
+            sizes = interval_sizes(d)
+        assert t == [interval_row(d, v) for v in range(g.n)]
+        assert all(t[i][j] is t[j][i] for i in range(g.n) for j in range(g.n))
+        assert sizes.tolist() == [[m.bit_count() for m in row] for row in t]
+
+    def test_default_blocks_of_a_large_table(self):
+        g = generate(GenSpec("ER", 200, 800, seed=5))
+        d = all_pairs_distances(g)
+        assert 1 < geodetic.intervals.BLOCK_BYTES // (200 * 200 * (d.itemsize + 1)) < 200
+        t = interval_table(d)
+        for v in (0, 1, 2, 3, 4, 100, 198, 199):
+            assert t[v] == interval_row(d, v)
+            assert all(t[v][j] is t[j][v] for j in range(200))
+
+
+class TestSizes:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=16))
+    def test_sizes_are_the_mask_bit_counts_on_both_paths(self, g):
+        from_distances = Instance.of(g)
+        counted = from_distances.sizes
+        assert not from_distances.has_table  # counted from the distances
+        from_table = Instance.of(g)
+        table = from_table.table
+        want = [[m.bit_count() for m in row] for row in table]
+        for sizes in (counted, from_table.sizes):
+            assert sizes.dtype == np.int16 and not sizes.flags.writeable
+            assert sizes.tolist() == want
+        assert from_distances.table == table
+        assert from_distances.sizes is counted  # the table build leaves it
+
+    def test_counted_once_per_instance(self, monkeypatch):
+        inst = Instance.of(generate(GenSpec("ER", 30, 90, seed=3)))
+        calls = []
+        counted = geodetic.intervals.interval_sizes
+        monkeypatch.setattr(geodetic.intervals, "interval_sizes",
+                            lambda d: calls.append(1) or counted(d))
+        greedy_geodetic(inst, add_one=True)  # reads no table: counts from distances
+        greedy_geodetic(inst)
+        assert calls == [1] and inst.has_table
 
 
 class TestClosure:
