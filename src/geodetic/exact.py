@@ -7,10 +7,12 @@ graphs beyond a small size cap.
 exact_geodetic exploits two facts.  The forced core (Instance.forced: the
 degree-one and simplicial vertices, never interior to a shortest path)
 belongs to every geodetic set and is fixed up front.  Completing that core
-is then a search over candidate subsets in increasing total size, with
-candidates sorted by gain and one admissible bound (completion_reach)
-checked before every branch.  With U the uncovered vertices, picks T add
-at most the sum of g(a), a's own gain, plus the sum over pairs of
+is then a search over candidate subsets in increasing total size, one call
+of complete per total.  complete's state is U, the vertices still
+uncovered: each pick's gain leaves U, and a node whose U is empty has
+succeeded.  Candidates are sorted by gain and one admissible bound
+(completion_reach) is checked before every branch.  Picks T add at most
+the sum of g(a), a's own gain, plus the sum over pairs of
 p(a, b) = |I(a, b) & U|.  Each pair's p sits in both of its picks' rows, so
 half the sum of caps 2 g(a) + (the slots - 1 largest p(a, .)) bounds what T
 adds.  First picks stop at the first position where the `slots` largest
@@ -18,10 +20,10 @@ caps from there on sum to less than 2|U|, at every depth alike.  A node
 with slots = 2 counts no pairs: its slots = 3 parent records each
 candidate's largest p(a, .), which still bounds the child's, as the child's
 candidates are a subset of the parent's and U only shrinks
-(stale_pair_reach).  Optional wall-clock and node budgets stop the search early.  On expiry the
-result is the greedy cover (greedy_cover) of the same instance, flagged
-non-optimal; it is built before the search starts, so greedy's run time
-counts against a time budget.
+(stale_pair_reach).  Optional wall-clock and node budgets (Budget) stop
+the search early.  On expiry the result is greedy's cover (greedy_cover)
+of the same instance, flagged non-optimal.  Only a budgeted run builds it,
+before the search, so its run time counts against a time budget.
 """
 
 from __future__ import annotations
@@ -57,6 +59,22 @@ class SearchLimits:
 
 class _BudgetExhausted(Exception):
     pass
+
+
+class Budget:
+    """Search nodes opened so far against a SearchLimits' caps, timed from `start`."""
+
+    __slots__ = ("nodes", "cap", "deadline")
+
+    def __init__(self, limits: SearchLimits, start: float):
+        self.nodes, self.cap = 0, limits.node_budget
+        self.deadline = None if limits.time_budget is None else start + limits.time_budget
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if (self.cap is not None and self.nodes > self.cap
+                or self.deadline is not None and time.perf_counter() > self.deadline):
+            raise _BudgetExhausted
 
 
 def completion_reach(table: list[list[int]], scored: list[tuple[int, int]],
@@ -121,81 +139,66 @@ def brute_force_geodetic(x: Graph | Instance) -> GeodeticResult:
     return finish("brute-force", inst, full_mask(x.n), True, start)
 
 
+def complete(table: list[list[int]], items: list[tuple[int, int]], row: list[int],
+             uncovered: int, slots: int, budget: Budget,
+             pair_max: list[int] | None = None) -> int | None:
+    """Mask of at most `slots` picks from items that cover `uncovered`, else None.
+
+    items are (gain, vertex) pairs masked by an ancestor's uncovered set;
+    row is the last pick's table row, OR-ed into each gain to score it here.
+    pair_max holds the pair maxima a `slots` = 3 parent recorded.  Every
+    call opens one node of budget.
+    """
+    budget.tick()
+    if not uncovered:
+        return 0
+    if slots == 1:
+        for gain, i in items:
+            if (gain | row[i]) & uncovered == uncovered:
+                return 1 << i
+        return None
+
+    scored = sorted(
+        (((gain | row[i]) & uncovered, i) for gain, i in items),
+        key=lambda t: (-t[0].bit_count(), t[1]))
+    child_max = [0] * len(table) if slots == 3 else None
+    if pair_max is not None:
+        reach = stale_pair_reach(scored, pair_max)
+    else:
+        reach = completion_reach(table, scored, uncovered, slots, child_max)
+    need = 2 * uncovered.bit_count()
+    for pos, (gain, i) in enumerate(scored):
+        if reach[pos] < need:
+            return None  # reach only falls as pos grows
+        found = complete(table, scored[pos + 1:], table[i], uncovered & ~gain,
+                         slots - 1, budget, child_max)
+        if found is not None:
+            return found | (1 << i)
+    return None
+
+
 def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> GeodeticResult:
     start = time.perf_counter()
     inst = Instance.of(x)
-    table, forced = inst.table, inst.forced
-    n = inst.n
-    full = full_mask(n)
+    table, forced, n = inst.table, inst.forced, inst.n
     base = Cover(table, forced)
-    if base.coverage == full:
+    uncovered = full_mask(n) & ~base.coverage
+    if not uncovered:
         # forced vertices lie in every geodetic set, so this is the minimum
         return finish("exact", inst, forced, True, start)
 
-    deadline = None
-    node_cap = None
-    if limits is not None:
-        if limits.time_budget is not None:
-            deadline = start + limits.time_budget
-        node_cap = limits.node_budget
+    limits = limits or SearchLimits()
+    if limits.time_budget is not None or limits.node_budget is not None:
         fallback = greedy_cover(inst)
-    nodes = 0
-
-    candidates = [v for v in range(n) if not (forced >> v) & 1]
-
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            raise _BudgetExhausted
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _BudgetExhausted
-
-    def search(items: list[tuple[int, int]], row: list[int], cover: int,
-               slots: int, pair_max: list[int] | None = None) -> int | None:
-        """Pick `slots` vertices from items; returns their mask or None.
-
-        items are (gain, vertex) pairs masked by an ancestor's uncovered set;
-        row is the last pick's table row, OR-ed into each gain to score it here.
-        pair_max holds the pair maxima a `slots` = 3 parent recorded.
-        """
-        tick()
-        if cover == full:
-            return 0
-        if slots == 0 or not items:
-            return None
-        uncov_mask = full & ~cover
-        uncovered = uncov_mask.bit_count()
-
-        if slots == 1:
-            for gain, i in items:
-                if ((gain | row[i]) & uncov_mask) == uncov_mask:
-                    return 1 << i
-            return None
-
-        scored = sorted(
-            (((gain | row[i]) & uncov_mask, i) for gain, i in items),
-            key=lambda t: (-t[0].bit_count(), t[1]))
-        child_max = [0] * n if slots == 3 else None
-        if pair_max is not None:
-            reach = stale_pair_reach(scored, pair_max)
-        else:
-            reach = completion_reach(table, scored, uncov_mask, slots, child_max)
-        for pos, (gain, i) in enumerate(scored):
-            if reach[pos] < 2 * uncovered:
-                return None  # reach only falls as pos grows
-            found = search(scored[pos + 1:], table[i], cover | gain, slots - 1, child_max)
-            if found is not None:
-                return found | (1 << i)
-        return None
-
+    budget = Budget(limits, start)
+    roots = [(1 << v, v) for v in range(n) if not (forced >> v) & 1]
+    core = forced.bit_count()
     try:
-        for total in range(max(forced.bit_count() + 1, 2), n):
-            chosen = search([(1 << v, v) for v in candidates], base.gains,
-                            base.coverage, total - forced.bit_count())
+        for slots in range(max(1, 2 - core), n - core):  # totals max(core + 1, 2) .. n - 1
+            chosen = complete(table, roots, base.gains, uncovered, slots, budget)
             if chosen is not None:
                 return finish("exact", inst, forced | chosen, True, start)
     except _BudgetExhausted:
         return finish("exact", inst, fallback, False, start)
     # every smaller size was refuted, so only the whole vertex set is left
-    return finish("exact", inst, full, True, start)
+    return finish("exact", inst, full_mask(n), True, start)

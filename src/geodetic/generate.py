@@ -93,28 +93,16 @@ def _row_offsets(n: int) -> np.ndarray:
     return u * (2 * n - u - 1) // 2
 
 
-def _pair_decoder(n: int):
-    """Map an index into the lexicographic list of pairs u < v to the pair.
-
-    Row u of that list starts at offset u*(2n-u-1)/2; only the n offsets are
-    stored, never the n(n-1)/2 pairs.
-    """
-    offsets = _row_offsets(n).tolist()
-
-    def pair(p: int) -> tuple[int, int]:
-        u = bisect_right(offsets, p) - 1
-        return u, u + 1 + p - offsets[u]
-
-    return pair
-
-
 def _top_up(edges: set[tuple[int, int]], n: int, m_target: int,
             rng: SplitMix64) -> None:
-    # uniform random missing edges until the count is exact
-    pair = _pair_decoder(n)
+    # uniform random missing edges until the count is exact; pair index p is
+    # (u, v) for the last row u whose offset is <= p
+    offsets = _row_offsets(n).tolist()
     total = n * (n - 1) // 2
     while len(edges) < m_target:
-        edges.add(pair(rng.randrange(total)))
+        p = rng.randrange(total)
+        u = bisect_right(offsets, p) - 1
+        edges.add((u, u + 1 + p - offsets[u]))
 
 
 def _draw_er(n: int, m: int, rng: SplitMix64) -> list[tuple[int, int]]:

@@ -2,7 +2,7 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geodetic.exact
@@ -10,8 +10,10 @@ from geodetic.bitset import full_mask, mask_of
 from geodetic.errors import ValidationError
 from geodetic.exact import (
     BRUTE_FORCE_MAX_N,
+    Budget,
     SearchLimits,
     brute_force_geodetic,
+    complete,
     completion_reach,
     exact_geodetic,
 )
@@ -176,6 +178,35 @@ class TestCompletionReach:
                     assert 2 * added.bit_count() <= reach[pos]
 
 
+class TestComplete:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(max_n=9), st.integers(1, 4), st.sets(st.integers(0, 8)))
+    # its 3-vertex covers are found only when the slots = 2 nodes below
+    # slots = 3 credit each candidate with its pair maximum
+    @example(Graph(6, [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)]),
+             3, set())
+    def test_completes_exactly_when_enumeration_does(self, g, slots, start):
+        # slots 3 and 4 reach the stale-bound nodes at slots = 2 and the
+        # single-pick scans at slots = 1 below them
+        table = Instance.of(g).table
+        full = full_mask(g.n)
+        members = mask_of(start) & full
+        cover = Cover(table, members)
+        candidates = [v for v in range(g.n) if not members >> v & 1]
+        budget = Budget(SearchLimits(), 0.0)
+        found = complete(table, [(1 << v, v) for v in candidates], cover.gains,
+                         full & ~cover.coverage, slots, budget)
+        exists = any(closure(table, members | mask_of(picks)) == full
+                     for size in range(slots + 1)
+                     for picks in itertools.combinations(candidates, size))
+        assert (found is not None) == exists
+        if found is not None:
+            assert found & ~mask_of(candidates) == 0
+            assert found.bit_count() <= slots
+            assert closure(table, members | found) == full
+        assert budget.nodes >= 1
+
+
 # Each family's builder and the closed form of its geodetic number, a function
 # of the builder's arguments (Chartrand, Harary & Zhang, Networks 39 (2002)).
 KNOWN_FAMILIES = {
@@ -265,6 +296,21 @@ class TestSearchLimits:
         assert not res.optimal
         assert res.value == 2
 
+    @pytest.mark.parametrize("limits,calls", [
+        (None, 0),
+        (SearchLimits(), 0),
+        (SearchLimits(node_budget=10**6), 1),
+        (SearchLimits(time_budget=60.0), 1),
+    ], ids=["none", "unbudgeted", "nodes", "time"])
+    def test_only_a_budgeted_run_builds_the_fallback(self, monkeypatch, limits, calls):
+        built = []
+        greedy_cover = geodetic.exact.greedy_cover
+        monkeypatch.setattr(geodetic.exact, "greedy_cover",
+                            lambda inst: built.append(inst) or greedy_cover(inst))
+        res = exact_geodetic(cycle_graph(6), limits)
+        assert (res.optimal, res.value) == (True, 2)
+        assert len(built) == calls
+
     def test_generous_budget_still_optimal(self):
         g = cycle_graph(8)
         res = exact_geodetic(g, SearchLimits(time_budget=60.0, node_budget=10**9))
@@ -299,6 +345,19 @@ class TestSearchLimits:
         g = generate(GenSpec("BA", 30, edge_count_for_density(30, 0.2), seed=3))
         res = exact_geodetic(g, SearchLimits(node_budget=10_000))
         assert (res.optimal, res.value) == (True, 9)
+
+    @pytest.mark.parametrize("family,seed,nodes,expect", [
+        ("BA", 3, 6680, (True, 9)),
+        ("BA", 3, 6679, (False, 10)),
+        ("ER", 2, 3338, (True, 7)),
+        ("ER", 2, 3337, (False, 7)),
+    ])
+    def test_node_budget_pins_nodes_to_proof(self, family, seed, nodes, expect):
+        # the proof opens exactly 6,680 and 3,338 nodes; one fewer returns
+        # greedy's cover, flagged non-optimal
+        g = generate(GenSpec(family, 30, edge_count_for_density(30, 0.2), seed=seed))
+        res = exact_geodetic(g, SearchLimits(node_budget=nodes))
+        assert (res.optimal, res.value) == expect
 
     def test_forced_shortcut_ignores_budget(self):
         # a path is decided by its endpoints before any search node opens
