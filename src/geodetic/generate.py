@@ -9,13 +9,19 @@ Three families, all with an exact edge count and a connectivity guarantee:
   hit m exactly.  When m < n the lattice is empty and the family degenerates
   to uniform random edges.
 * BA: seed clique on d+1 vertices with d = max(1, floor(m/n)), then degree-
-  proportional attachment of d edges per new vertex, topped up to m.  The
-  degrees live in a Fenwick tree, so a pick costs O(log n).
+  proportional attachment of d edges per new vertex, topped up to m.  A
+  pick is the first vertex whose running degree sum exceeds the draw: a
+  bisect over the sums rebuilt for each new vertex while that is cheaper,
+  then a Fenwick tree walk, O(log n), once v passes BA_PREFIX_STEPS * d *
+  n.bit_length().  Both pick the same vertex, so the switch changes no graph.
 
-A draw that comes out disconnected is retried with a derived sub-seed, up to
-a retry budget that grows with the expected number of isolated vertices
-(attempt_budget).  A draw that leaves a vertex without an edge is
-rejected before any Graph is built for it.
+Every draw keeps its edges as int codes u*n + v with u < v (WS and BA in a
+set while it grows) and returns them as one int64 array, which generate
+hands to graph.csr_of_codes: no per-edge tuple is built.  A draw that comes out
+disconnected is retried with a derived sub-seed, up to a retry budget that
+grows with the expected number of isolated vertices (attempt_budget).  A
+draw that leaves a vertex without an edge, read off the degree counts of
+its CSR build, is rejected before any Graph is built for it.
 """
 
 from __future__ import annotations
@@ -24,12 +30,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .errors import GenerationError, ValidationError
-from .graph import Graph, is_connected
+from .graph import Graph, csr_of_codes, is_connected
 from .rng import SplitMix64, stream_seed
 
 FAMILIES = ("ER", "WS", "BA")
@@ -93,19 +99,26 @@ def _row_offsets(n: int) -> np.ndarray:
     return u * (2 * n - u - 1) // 2
 
 
-def _top_up(edges: set[tuple[int, int]], n: int, m_target: int,
-            rng: SplitMix64) -> None:
-    # uniform random missing edges until the count is exact; pair index p is
-    # (u, v) for the last row u whose offset is <= p
-    offsets = _row_offsets(n).tolist()
+def _code_shifts(n: int, offsets: np.ndarray) -> np.ndarray:
+    """Per row u, what a pair index p in row u adds to become its edge code:
+    v = u + 1 + p - offsets[u], so u*n + v = p + u*(n + 1) + 1 - offsets[u]."""
+    return np.arange(n, dtype=np.int64) * (n + 1) + 1 - offsets
+
+
+def _top_up(codes: set[int], n: int, m_target: int, rng: SplitMix64) -> np.ndarray:
+    # uniform random missing edges until the count is exact, then the codes
+    # as an int64 array; pair index p lies in the last row u whose offset is <= p
+    offsets = _row_offsets(n)
+    shifts = _code_shifts(n, offsets).tolist()
+    offsets = offsets.tolist()
     total = n * (n - 1) // 2
-    while len(edges) < m_target:
+    while len(codes) < m_target:
         p = rng.randrange(total)
-        u = bisect_right(offsets, p) - 1
-        edges.add((u, u + 1 + p - offsets[u]))
+        codes.add(p + shifts[bisect_right(offsets, p) - 1])
+    return np.fromiter(codes, dtype=np.int64, count=len(codes))
 
 
-def _draw_er(n: int, m: int, rng: SplitMix64) -> list[tuple[int, int]]:
+def _draw_er(n: int, m: int, rng: SplitMix64) -> np.ndarray:
     total = n * (n - 1) // 2
     # partial Fisher-Yates over the virtual index array 0..total-1: slot t
     # swaps with slot t + randrange(total - t), all m offsets drawn in one
@@ -118,40 +131,50 @@ def _draw_er(n: int, m: int, rng: SplitMix64) -> list[tuple[int, int]]:
     for t, j in enumerate(swaps):
         picked.append(swapped.get(j, j))
         swapped[j] = swapped.get(t, t)
-    # pair index p is (u, v) for the last row u whose offset is <= p
+    # pair index p lies in the last row u whose offset is <= p
     p = np.array(picked, dtype=np.int64)
     offsets = _row_offsets(n)
-    u = np.searchsorted(offsets, p, side="right") - 1
-    return list(zip(u.tolist(), (u + 1 + p - offsets[u]).tolist()))
+    return p + _code_shifts(n, offsets)[np.searchsorted(offsets, p, side="right") - 1]
 
 
-def _draw_ws(n: int, m: int, rewire_prob: float, rng: SplitMix64) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
+def _draw_ws(n: int, m: int, rewire_prob: float, rng: SplitMix64) -> np.ndarray:
+    codes: set[int] = set()
     k_half = m // n
     for i in range(n):
         for off in range(1, k_half + 1):
             j = (i + off) % n
-            edges.add((i, j) if i < j else (j, i))
+            codes.add(i * n + j if i < j else j * n + i)
     # rewire pass over the original lattice edges, deterministic order
     for i in range(n):
         for off in range(1, k_half + 1):
             j = (i + off) % n
-            e = (i, j) if i < j else (j, i)
-            if e not in edges or rng.uniform() >= rewire_prob:
+            e = i * n + j if i < j else j * n + i
+            if e not in codes or rng.uniform() >= rewire_prob:
                 continue
             for _ in range(n):
                 t = rng.randrange(n)
-                cand = (i, t) if i < t else (t, i)
-                if t != i and cand not in edges:
-                    edges.remove(e)
-                    edges.add(cand)
+                cand = i * n + t if i < t else t * n + i
+                if t != i and cand not in codes:
+                    codes.remove(e)
+                    codes.add(cand)
                     break
-    _top_up(edges, n, m, rng)
-    return edges
+    return _top_up(codes, n, m, rng)
+
+
+def _fenwick_tree(degrees: list[int]) -> list[int]:
+    """Fenwick tree over degrees, padded with zeros to a power-of-two length:
+    tree[i] sums entries i - (i & -i) to i - 1."""
+    tree = [0] * (1 << len(degrees).bit_length())
+    tree[1:len(degrees) + 1] = degrees
+    for i in range(1, len(tree)):
+        parent = i + (i & -i)
+        if parent < len(tree):
+            tree[parent] += tree[i]
+    return tree
 
 
 def _fenwick_add(tree: list[int], u: int, delta: int) -> None:
-    """Add delta to entry u of a Fenwick tree: tree[i] sums entries i - (i & -i) to i - 1."""
+    """Add delta to entry u of a Fenwick tree."""
     u += 1
     while u < len(tree):
         tree[u] += delta
@@ -175,29 +198,45 @@ def _fenwick_search(tree: list[int], r: int) -> int:
     return u
 
 
-def _draw_ba(n: int, m: int, rng: SplitMix64) -> set[tuple[int, int]]:
+# BA rebuilds the running degree sums for each new vertex v (one C-level
+# accumulate over v entries) while v is below BA_PREFIX_STEPS * d *
+# n.bit_length(), and walks a Fenwick tree (about log2(n) Python steps per pick, d picks)
+# from there on.  Timing both per vertex at n = 1,000-20,000 and d = 2-20
+# put the crossover at 5.0-6.8 times d * n.bit_length() (10.4 once, at
+# n = 4,000 and d = 2, where either costs under 10 us a vertex).
+BA_PREFIX_STEPS = 6
+
+
+def _draw_ba(n: int, m: int, rng: SplitMix64) -> np.ndarray:
     d = max(1, m // n)
     seed_size = min(d + 1, n)
-    edges = {(u, v) for u in range(seed_size) for v in range(u + 1, seed_size)}
-    # a Fenwick tree over the vertex degrees, padded with zeros to a power of two
-    degrees = [0] * (1 << n.bit_length())
-    for u in range(seed_size):
-        _fenwick_add(degrees, u, seed_size - 1)
+    codes = {u * n + v for u in range(seed_size) for v in range(u + 1, seed_size)}
+    degrees = [seed_size - 1] * seed_size + [0] * (n - seed_size)
     total = seed_size * (seed_size - 1)
-    for v in range(seed_size, n):
-        want = min(d, v)
+    # every v draws min(d, v) = d targets, each the first u whose running
+    # degree sum exceeds the draw; the degrees are fixed during v's draws
+    switch = min(n, max(seed_size, BA_PREFIX_STEPS * d * n.bit_length()))
+    for v in range(seed_size, switch):
+        sums = list(accumulate(islice(degrees, v)))
         targets: set[int] = set()
-        # degrees are fixed during one vertex's draws: each draw picks the
-        # first u whose running degree sum exceeds it
-        while len(targets) < want:
-            targets.add(_fenwick_search(degrees, rng.randrange(total)))
+        while len(targets) < d:
+            targets.add(bisect_right(sums, rng.randrange(total)))
         for u in targets:
-            edges.add((u, v))
-            _fenwick_add(degrees, u, 1)
-        _fenwick_add(degrees, v, len(targets))
-        total += 2 * len(targets)
-    _top_up(edges, n, m, rng)
-    return edges
+            codes.add(u * n + v)
+            degrees[u] += 1
+        degrees[v] = d
+        total += 2 * d
+    tree = _fenwick_tree(degrees)
+    for v in range(switch, n):
+        targets = set()
+        while len(targets) < d:
+            targets.add(_fenwick_search(tree, rng.randrange(total)))
+        for u in targets:
+            codes.add(u * n + v)
+            _fenwick_add(tree, u, 1)
+        _fenwick_add(tree, v, d)
+        total += 2 * d
+    return _top_up(codes, n, m, rng)
 
 
 def attempt_budget(n: int, m: int) -> int:
@@ -223,14 +262,15 @@ def generate(spec: GenSpec) -> Graph:
     for attempt in range(budget):
         rng = SplitMix64(stream_seed(spec.seed, attempt))
         if spec.family == "ER":
-            edges = _draw_er(spec.n, spec.m_target, rng)
+            codes = _draw_er(spec.n, spec.m_target, rng)
         elif spec.family == "WS":
-            edges = _draw_ws(spec.n, spec.m_target, spec.ws_rewire_prob, rng)
+            codes = _draw_ws(spec.n, spec.m_target, spec.ws_rewire_prob, rng)
         else:
-            edges = _draw_ba(spec.n, spec.m_target, rng)
-        if len(set(chain.from_iterable(edges))) < spec.n:
+            codes = _draw_ba(spec.n, spec.m_target, rng)
+        start, nbrs = csr_of_codes(spec.n, codes)
+        if not np.diff(start).all():
             continue  # a vertex without an edge: disconnected, so build no Graph
-        g = Graph(spec.n, edges)
+        g = Graph.of_csr(spec.n, start, nbrs)
         if is_connected(g):
             return g
     raise GenerationError(

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import time
 
-from .graph import Graph
+import numpy as np
+
+from .graph import Graph, csr
 from .greedy import grow
 from .intervals import Cover, Instance
 from .result import GeodeticResult, finish
@@ -26,8 +28,7 @@ def find_start(inst: Instance) -> int:
     """Lowest forced vertex, else the lowest vertex of minimum degree."""
     if inst.forced:
         return (inst.forced & -inst.forced).bit_length() - 1
-    g = inst.graph
-    return min(range(g.n), key=lambda v: (g.degree(v), v))
+    return int(np.argmin(np.diff(csr(inst.graph)[0])))  # argmin: the lowest such vertex
 
 
 def locally_greedy_geodetic(x: Graph | Instance) -> GeodeticResult:

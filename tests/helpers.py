@@ -96,6 +96,61 @@ def relabeled_pairs(draw, min_n: int = 2, max_n: int = 9) -> tuple[Graph, Graph]
     return g, relabeled(g, draw(st.permutations(range(g.n))))
 
 
+class ReferenceGraph:
+    """The per-edge graph: each pair checked in input order and appended to
+    per-vertex lists, which are then deduplicated and sorted.
+
+    geodetic.graph.Graph builds CSR arrays from integer edge codes instead;
+    the two must describe the same graph and raise the same errors.
+    """
+
+    def __init__(self, n: int, edges):
+        if n < 1:
+            raise ValidationError("graph needs at least one vertex")
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"vertex id out of range: ({u}, {v}) with n={n}")
+            if u == v:
+                raise ValidationError(f"self-loop at vertex {u}")
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        self.n = n
+        self.adj = tuple(tuple(sorted(set(nbrs))) for nbrs in neighbors)
+        self.m = sum(map(len, self.adj)) // 2
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self.adj[v]
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+
+
+def reference_depth(g) -> int | None:
+    """Depth of a BFS from vertex 0 over g.adj, one neighbour at a time, or
+    None when some vertex is unreached."""
+    seen = bytearray(g.n)
+    seen[0] = 1
+    frontier = [0]
+    reached = 1
+    depth = 0
+    while True:
+        found = []
+        for u in frontier:
+            for v in g.adj[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    found.append(v)
+        if not found:
+            return depth if reached == g.n else None
+        reached += len(found)
+        depth += 1
+        frontier = found
+
+
 def leaf_count(g: Graph) -> int:
     return sum(g.degree(v) == 1 for v in range(g.n))
 
@@ -307,6 +362,11 @@ class ScalarSplitMix64:
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
+
+
+def decoded(n: int, codes) -> list[tuple[int, int]]:
+    """The (u, v) pairs of edge codes u*n + v, in the codes' order."""
+    return [divmod(c, n) for c in codes.tolist()]
 
 
 def scalar_draw_er(n: int, m: int, rng) -> set[tuple[int, int]]:

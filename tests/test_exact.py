@@ -16,6 +16,7 @@ from geodetic.exact import (
     complete,
     completion_reach,
     exact_geodetic,
+    stale_pair_reach,
 )
 from geodetic.generate import GenSpec, edge_count_for_density, generate
 from geodetic.greedy import greedy_cover, greedy_geodetic
@@ -176,6 +177,41 @@ class TestCompletionReach:
                 for picks in itertools.combinations(rest, size):
                     added = closure(table, cover.members | mask_of(picks)) & uncov_mask
                     assert 2 * added.bit_count() <= reach[pos]
+
+
+class TestStalePairReach:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(max_n=9), st.sets(st.integers(0, 8)))
+    # a case where both picks' caps are tight: halving the second cap or
+    # the pair maxima makes the bound inadmissible here, and random draws
+    # alone did not find one
+    @example(Graph(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)]),
+             {0, 3})
+    def test_admissible_against_brute_force(self, g, start):
+        # a slots = 3 node records its candidates' pair maxima; below each
+        # first pick i, the slots = 2 child bounds with them and counts no pairs
+        table = Instance.of(g).table
+        members = {v for v in start if v < g.n}
+        cover = Cover(table, mask_of(members))
+        uncov_mask = full_mask(g.n) & ~cover.coverage
+        scored = sorted((((cover.gains[v] | 1 << v) & uncov_mask, v)
+                         for v in range(g.n) if v not in members),
+                        key=lambda t: (-t[0].bit_count(), t[1]))
+        pair_max = [0] * g.n
+        completion_reach(table, scored, uncov_mask, 3, pair_max)
+        for first, (gain, i) in enumerate(scored):
+            child_mask = uncov_mask & ~gain
+            child = sorted((((g_j | table[i][j]) & child_mask, j) for g_j, j in scored[first + 1:]),
+                           key=lambda t: (-t[0].bit_count(), t[1]))  # complete's order
+            reach = stale_pair_reach(child, pair_max)
+            assert len(reach) == len(child)
+            base = cover.members | 1 << i
+            for size in (1, 2):
+                # picks from child[pos:] are bounded by reach[pos], tightest
+                # at the first pick's position
+                for picks in itertools.combinations(range(len(child)), size):
+                    added = closure(table, base | mask_of(child[p][1] for p in picks)) & child_mask
+                    assert 2 * added.bit_count() <= reach[picks[0]]
 
 
 class TestComplete:
@@ -340,7 +376,7 @@ class TestSearchLimits:
         assert mask_of(res.vertices) == greedy_cover(inst)
 
     def test_pair_bound_proves_within_node_budget(self):
-        # proved in 6,133 nodes; a bound that credits every future pair with
+        # proved in 6,680 nodes; a bound that credits every future pair with
         # the largest residual pair interval needs 14,099
         g = generate(GenSpec("BA", 30, edge_count_for_density(30, 0.2), seed=3))
         res = exact_geodetic(g, SearchLimits(node_budget=10_000))

@@ -1,6 +1,6 @@
 import hashlib
-import importlib
 import math
+import sys
 import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate, chain
@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from geodetic.errors import ValidationError
 from geodetic.generate import (
+    BA_PREFIX_STEPS,
     FAMILIES,
     MAX_ATTEMPTS,
     MAX_ATTEMPTS_CAP,
     GenSpec,
+    _draw_ba,
     _draw_er,
     _fenwick_add,
     _fenwick_search,
@@ -25,7 +27,9 @@ from geodetic.generate import (
 )
 from geodetic.graph import Graph, is_connected, write_edge_list
 from geodetic.rng import SplitMix64, stream_seed
-from helpers import ScalarSplitMix64, scalar_draw_er
+from helpers import ScalarSplitMix64, decoded, scalar_draw_er
+
+generate_module = sys.modules["geodetic.generate"]  # geodetic.generate is the function
 
 # sha256 of write_edge_list(generate(spec)), pinned so draws stay byte-identical
 PINNED_EDGE_LIST_SHA256 = [
@@ -132,6 +136,25 @@ class TestGenerate:
         text = write_edge_list(generate(spec))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_ba_draw_across_the_sums_to_tree_switch(self):
+        # d = 9: the rebuilt running sums pick for v < 6 * 9 * 11 = 594, the
+        # Fenwick tree for the rest; the digest is that of `geodetic generate
+        # --family ba --n 2000 --density 0.01 --seed 1` from before the switch
+        spec = GenSpec("BA", 2000, 19990, 1)
+        assert 10 < BA_PREFIX_STEPS * 9 * spec.n.bit_length() < spec.n
+        text = write_edge_list(generate(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "59a28fe057bdd6b8c97ebdbc2365158e33895b45e0a1f5f928cb381d7e081989")
+
+    @pytest.mark.parametrize("n,m,seed", [(10, 9, 0), (40, 156, 1), (100, 3960, 2), (300, 1200, 3)])
+    def test_ba_sums_and_tree_pick_the_same_targets(self, n, m, seed, monkeypatch):
+        draws = []
+        for steps in (0, 1, 10**9):  # tree from the start, switch early, sums only
+            monkeypatch.setattr(generate_module, "BA_PREFIX_STEPS", steps)
+            draws.append(sorted(_draw_ba(n, m, SplitMix64(seed)).tolist()))
+        assert len(draws[0]) == m
+        assert draws[0] == draws[1] == draws[2]
+
     def test_sparse_draw_does_not_list_every_pair(self):
         # 5000 edges among 1200 vertices; the 719,400 possible pairs must
         # not be materialized
@@ -161,10 +184,11 @@ class TestAttemptBudget:
         spec = GenSpec("ER", 2000, 5991, seed=2)
         g = generate(spec)
         assert g.m == 5991 and is_connected(g)
-        assert g == Graph(2000, _draw_er(2000, 5991, SplitMix64(stream_seed(2, 119))))
+        assert g == Graph(2000, decoded(2000, _draw_er(2000, 5991, SplitMix64(stream_seed(2, 119)))))
         assert not any(
             is_connected(Graph(2000, edges))
-            for edges in (_draw_er(2000, 5991, SplitMix64(stream_seed(2, k))) for k in range(119))
+            for edges in (decoded(2000, _draw_er(2000, 5991, SplitMix64(stream_seed(2, k))))
+                          for k in range(119))
             if len(set(chain.from_iterable(edges))) == 2000)
 
 
@@ -176,7 +200,7 @@ class TestArrayDraws:
         (100_000, 40, 2), (100_000, 3, 9)])  # at n = 100,000 the pair count passes 2^32
     def test_er_matches_the_scalar_draw(self, n, m, seed):
         fast, ref = SplitMix64(seed), ScalarSplitMix64(seed)
-        edges = _draw_er(n, m, fast)
+        edges = decoded(n, _draw_er(n, m, fast))
         assert len(edges) == m
         assert set(edges) == scalar_draw_er(n, m, ref)
         assert fast.next_u64() == ref.next_u64()
@@ -186,7 +210,8 @@ class TestArrayDraws:
     def test_er_matches_the_scalar_draw_on_random_sizes(self, n, data):
         m = data.draw(st.integers(1, n * (n - 1) // 2))
         seed = data.draw(st.integers(0, 2**64 - 1))
-        assert set(_draw_er(n, m, SplitMix64(seed))) == scalar_draw_er(n, m, ScalarSplitMix64(seed))
+        assert set(decoded(n, _draw_er(n, m, SplitMix64(seed)))) == scalar_draw_er(
+            n, m, ScalarSplitMix64(seed))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=70).filter(any), st.data())
@@ -202,12 +227,13 @@ class TestArrayDraws:
         # attempts 0-8 of this spec each leave a vertex without an edge
         spec = GenSpec("ER", 20, 25, 6)
         built = []
+        of_csr = Graph.of_csr
 
-        def counted(n, edges):
+        def counted(n, start, nbrs):
             built.append(n)
-            return Graph(n, edges)
+            return of_csr(n, start, nbrs)
 
-        monkeypatch.setattr(importlib.import_module("geodetic.generate"), "Graph", counted)
+        monkeypatch.setattr(Graph, "of_csr", counted)
         g = generate(spec)
         assert len(built) == 1
         for attempt in range(10):  # the draw-everything loop, as a reference

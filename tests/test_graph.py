@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodetic.errors import EdgeListParseError, ValidationError
@@ -14,7 +14,17 @@ from geodetic.graph import (
     write_edge_list,
 )
 from geodetic.intervals import Instance
-from helpers import complete_graph, connected_graphs, cycle_graph, path_graph
+from helpers import (
+    ReferenceGraph,
+    broom_graph,
+    complete_bipartite_graph,
+    complete_graph,
+    connected_graphs,
+    cycle_graph,
+    hypercube_graph,
+    path_graph,
+    reference_depth,
+)
 
 
 class TestGraph:
@@ -62,6 +72,92 @@ class TestGraph:
     def test_edges_sorted(self):
         g = Graph(3, [(2, 1), (1, 0)])
         assert list(g.edges()) == [(0, 1), (1, 2)]
+
+
+@st.composite
+def pair_lists(draw, max_n: int = 12, max_pairs: int = 30) -> tuple[int, list[tuple[int, int]]]:
+    """n and a list of distinct-endpoint pairs on 0..n-1, with repeats,
+    some of them reversed, in random order."""
+    n = draw(st.integers(1, max_n))
+    if n == 1:
+        return n, []
+    base = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=max_pairs))
+    repeats = draw(st.lists(st.tuples(st.sampled_from(base), st.booleans()),
+                            max_size=10)) if base else []
+    pairs = base + [(v, u) if flip else (u, v) for (u, v), flip in repeats]
+    return n, draw(st.permutations(pairs))
+
+
+# ways to hand Graph the same pairs: a list, a tuple, a one-shot generator,
+# and a list of two-element lists
+FEEDS = [list, tuple, lambda pairs: (p for p in pairs), lambda pairs: [list(p) for p in pairs]]
+
+
+class TestAgainstPerEdgeReference:
+    """Graph against the per-edge ReferenceGraph of tests/helpers.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists(), st.sampled_from(FEEDS))
+    def test_same_graph(self, case, feed):
+        n, pairs = case
+        g, ref = Graph(n, feed(pairs)), ReferenceGraph(n, pairs)
+        assert (g.n, g.m) == (ref.n, ref.m)
+        assert g.adj == ref.adj
+        assert list(g.edges()) == ref.edges()
+        for v in range(n):
+            assert g.degree(v) == ref.degree(v)
+            assert g.neighbors(v) == ref.neighbors(v)
+        assert write_edge_list(g) == "".join(f"{u} {v}\n" for u, v in ref.edges())
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists(), pair_lists())
+    def test_equality_and_hash_follow_the_reference(self, case, other):
+        n, pairs = case
+        g = Graph(n, pairs)
+        # the same edges in another order and orientation are the same graph
+        again = Graph(n, [(v, u) for u, v in reversed(pairs)])
+        assert g == again and hash(g) == hash(again)
+        h = Graph(*other)
+        assert (g == h) == ((n, ReferenceGraph(n, pairs).adj) == (other[0], ReferenceGraph(*other).adj))
+        if g == h:
+            assert hash(g) == hash(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists() | pair_lists(max_n=80, max_pairs=400))
+    def test_bfs_depth_matches_a_reference_scan(self, case):
+        # disconnected draws included: both give None; the larger draws have
+        # frontiers wide enough for the numpy steps
+        n, pairs = case
+        assert bfs_depth(Graph(n, pairs)) == reference_depth(ReferenceGraph(n, pairs))
+
+    @pytest.mark.parametrize("g", [cycle_graph(101), complete_graph(40), broom_graph(80, 6),
+                                   complete_bipartite_graph(20, 20), hypercube_graph(6)],
+                             ids=["narrow", "wide", "narrow-then-wide", "wide-repeats",
+                                  "hypercube"])
+    def test_bfs_depth_on_narrow_and_wide_levels(self, g):
+        # in K20,20 and Q6 a wide level reaches each new vertex many times
+        assert bfs_depth(g) == reference_depth(ReferenceGraph(g.n, list(g.edges())))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists(), st.integers(0, 40),
+           st.sampled_from([(0, 0), (2, 2), (-1, 0), (0, -1), (0, 12), (12, 0), (0, 2**63),
+                            (2**63, 0), (2**64 + 1, 1), (-2**63 - 1, 0), (5, 5)]))
+    def test_first_bad_pair_raises_as_in_the_reference(self, case, pos, bad):
+        # ids at or beyond 2^63 do not fit int64 and are out of range like any other
+        n, pairs = case
+        pairs = list(pairs)
+        pairs.insert(min(pos, len(pairs)), bad)
+        with pytest.raises(ValidationError) as want:
+            ReferenceGraph(n, pairs)
+        with pytest.raises(ValidationError) as got:
+            Graph(n, pairs)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [(0, 1, 2), (0,), ()])
+    def test_pair_of_other_length_raises(self, bad):
+        with pytest.raises(ValueError):
+            Graph(3, [(0, 1), bad])
 
 
 class TestConnectivity:

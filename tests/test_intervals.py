@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 import tracemalloc
 import weakref
 
@@ -495,21 +496,24 @@ class TestInstance:
 
     def test_generated_graph_shares_one_bfs_and_one_csr(self, monkeypatch):
         # generate's connectivity check, the distances and the forced core
-        # all read the graph's one BFS from vertex 0 and its one CSR
-        runs = {"_scan_depth": 0, "_build_csr": 0}
+        # all read the graph's one BFS from vertex 0 and the one CSR that
+        # generate built it from
+        runs = {"_scan_depth": 0, "csr_of_codes": 0}
         for name in runs:
             original = getattr(geodetic.graph, name)
 
-            def counted(g, _original=original, _name=name):
+            def counted(*args, _original=original, _name=name):
                 runs[_name] += 1
-                return _original(g)
+                return _original(*args)
 
-            monkeypatch.setattr(geodetic.graph, name, counted)
+            for module in (geodetic.graph, sys.modules["geodetic.generate"]):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
         g = generate(GenSpec("ER", 40, 200, seed=1))
-        assert runs == {"_scan_depth": 1, "_build_csr": 0}
+        assert runs == {"_scan_depth": 1, "csr_of_codes": 1}
         calls = count_builds(monkeypatch)
         Instance.of(g)
-        assert runs == {"_scan_depth": 1, "_build_csr": 1}
+        assert runs == {"_scan_depth": 1, "csr_of_codes": 1}
         assert calls["all_pairs_distances"] == 1
 
     def test_instance_passes_through(self):
