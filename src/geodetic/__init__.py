@@ -8,7 +8,7 @@ benchmarks everything over seeded random graph families.
 """
 
 from .bench import BenchConfig, BenchRecord, CSV_HEADER, format_csv, format_pretty, run_cell, run_grid
-from .bounds import diameter_bound, trivial_bound
+from .bounds import diameter_bound
 from .errors import (AlgorithmError, EdgeListParseError, GenerationError,
                      GraphError, ValidationError)
 from .exact import (BRUTE_FORCE_MAX_N, SearchLimits, brute_force_geodetic,
@@ -32,5 +32,5 @@ __all__ = [
     "brute_force_geodetic", "diameter_bound", "edge_count_for_density",
     "exact_geodetic", "export_ilp", "format_csv", "format_pretty", "generate",
     "greedy_geodetic", "locally_greedy_geodetic", "parse_edge_list",
-    "run_cell", "run_grid", "trivial_bound", "write_edge_list",
+    "run_cell", "run_grid", "write_edge_list",
 ]

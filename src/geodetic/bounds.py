@@ -2,13 +2,6 @@
 
 import numpy as np
 
-from .graph import Graph
-
-
-def trivial_bound(g: Graph) -> int:
-    """The whole vertex set is always geodetic."""
-    return g.n
-
 
 def diameter_bound(dist: np.ndarray) -> int:
     """n - diam + 1: a diametral pair covers its path, the rest fill in.

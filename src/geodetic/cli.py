@@ -14,7 +14,7 @@ import click
 
 from .bench import BenchConfig, format_csv, format_pretty, run_grid
 from .bitset import full_mask, mask_of
-from .bounds import diameter_bound, trivial_bound
+from .bounds import diameter_bound
 from .errors import AlgorithmError, GraphError, ValidationError
 from .exact import BRUTE_FORCE_MAX_N, SearchLimits, brute_force_geodetic, exact_geodetic
 from .generate import (FAMILIES, GenSpec, SCHEMES, benchmark_grid,
@@ -130,13 +130,9 @@ def _search_limits(time_budget: float | None,
 
 def _solve_lines(g: Graph | Instance, algorithm: str,
                  limits: SearchLimits | None) -> list[str]:
-    lines = []
     if algorithm == "bounds":
         require_table_fits(g.n)
-        dist = all_pairs_distances(g)
-        lines.append(f"{'trivial-bound':<16}{trivial_bound(g):>8}")
-        lines.append(f"{'diameter-bound':<16}{diameter_bound(dist):>8}")
-        return lines
+        return [f"{'diameter-bound':<16}{diameter_bound(all_pairs_distances(g)):>8}"]
     if algorithm == "all":
         require_table_fits(g.n)  # before the distances, as the table follows
         g = Instance.of(g)  # one shared build, outside every solver's clock;
@@ -145,6 +141,7 @@ def _solve_lines(g: Graph | Instance, algorithm: str,
         raise UsageError(
             f"brute force is capped at n={BRUTE_FORCE_MAX_N} (got n={g.n}); "
             "use the exact algorithm instead")
+    lines = []
     for name in ALL_SOLVERS if algorithm == "all" else (algorithm,):
         res = SOLVERS[name](g, limits)
         value, note = str(res.value), "upper bound"

@@ -1,4 +1,4 @@
-"""Exact geodetic number: plain enumeration and a pruned superset search.
+"""Exact geodetic number: plain enumeration and a branching superset search.
 
 brute_force_geodetic is the reference: subsets in increasing cardinality,
 lexicographic within a cardinality, first geodetic subset wins.  It refuses
@@ -10,17 +10,17 @@ belongs to every geodetic set and is fixed up front.  Completing that core
 is then a search over candidate subsets in increasing total size, one call
 of complete per total.  complete's state is U, the vertices still
 uncovered: each pick's gain leaves U, and a node whose U is empty has
-succeeded.  Candidates are sorted by gain and one admissible bound
-(completion_reach) is checked before every branch.  Picks T add at most
-the sum of g(a), a's own gain, plus the sum over pairs of
-p(a, b) = |I(a, b) & U|.  Each pair's p sits in both of its picks' rows, so
-half the sum of caps 2 g(a) + (the slots - 1 largest p(a, .)) bounds what T
-adds.  First picks stop at the first position where the `slots` largest
-caps from there on sum to less than 2|U|, at every depth alike.  A node
-with slots = 2 counts no pairs: its slots = 3 parent records each
-candidate's largest p(a, .), which still bounds the child's, as the child's
-candidates are a subset of the parent's and U only shrinks
-(stale_pair_reach).  Optional wall-clock and node budgets (Budget) stop
+succeeded.  It branches on options (Instance.options): a set covers a
+vertex k it misses only by holding one of k's options, the vertices a
+with k = a or k inside some I(a, b) other than as its endpoint b.  So a
+node takes the uncovered k with the fewest allowed options (the lowest k
+on ties), fails when there are none, and otherwise tries each in gain
+order; each branch excludes the options tried before it, as their
+branches have already searched every completion that holds them.  This
+is the fewest-options-first rule of exact-cover search (Golomb & Baumert,
+J. ACM 12, 1965; Knuth, Dancing links, 2000).  With one slot left the
+node scans k's options for one that covers U alone.  The forced core is
+exactly the set of vertices whose only option is themselves.  Optional wall-clock and node budgets (Budget) stop
 the search early.  On expiry the result is greedy's cover (greedy_cover)
 of the same instance, flagged non-optimal.  Only a budgeted run builds it,
 before the search, so its run time counts against a time budget.
@@ -28,12 +28,12 @@ before the search, so its run time counts against a time budget.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass
+from operator import or_
 
-from .bitset import full_mask, mask_of
+from .bitset import full_mask, mask_of, vertices_of
 from .errors import ValidationError
 from .graph import Graph
 from .greedy import greedy_cover
@@ -77,53 +77,6 @@ class Budget:
             raise _BudgetExhausted
 
 
-def completion_reach(table: list[list[int]], scored: list[tuple[int, int]],
-                     uncov_mask: int, slots: int, pair_max: list[int] | None = None
-                     ) -> list[int]:
-    """reach[pos] is at least twice what up to `slots` picks from scored[pos:] add.
-
-    scored holds (gain, vertex) pairs, gains masked by uncov_mask (U).  For
-    picks T, 2 * sum_{a<b in T} p(a, b) = sum_{a in T} sum_{b in T - a} p(a, b),
-    and each inner sum is at most the slots - 1 largest p(a, .).  pair_max,
-    when given, receives each scored vertex's largest p(a, .), by vertex.
-    """
-    vertices = [v for _, v in scored]
-    m = len(vertices)
-    counts = [(row[b] & uncov_mask).bit_count()  # p(a, b) at counts[pos(a) * m + pos(b)]
-              for row in map(table.__getitem__, vertices) for b in vertices]
-    reach, top = [], []  # top: min-heap of the `slots` largest caps from pos on
-    for pos in range(m - 1, -1, -1):
-        pairs = counts[pos * m:pos * m + m]
-        pairs[pos] = 0
-        pairs.sort()
-        if pair_max is not None:
-            pair_max[vertices[pos]] = pairs[-1]
-        heapq.heappush(top, 2 * scored[pos][0].bit_count() + sum(pairs[1 - slots:]))
-        if len(top) > slots:
-            heapq.heappop(top)
-        reach.append(sum(top))
-    return reach[::-1]
-
-
-def stale_pair_reach(scored: list[tuple[int, int]], pair_max: list[int]) -> list[int]:
-    """completion_reach at `slots` = 2 from a parent's pair maxima, counting no pairs.
-
-    pair_max[a] is the largest p(a, .) that completion_reach recorded at the
-    parent, over the parent's candidates and uncovered set.  The candidates
-    here are a subset of those and U only shrinks, so it is still at least
-    every p(a, b) here, and 2 g(a) + pair_max[a], with g(a) fresh, caps a.
-    """
-    reach, first, second = [], 0, 0  # the two largest caps from pos on
-    for gain, v in reversed(scored):
-        cap = 2 * gain.bit_count() + pair_max[v]
-        if cap > first:
-            first, second = cap, first
-        elif cap > second:
-            second = cap
-        reach.append(first + second)
-    return reach[::-1]
-
-
 def brute_force_geodetic(x: Graph | Instance) -> GeodeticResult:
     start = time.perf_counter()
     if x.n > BRUTE_FORCE_MAX_N:
@@ -139,41 +92,33 @@ def brute_force_geodetic(x: Graph | Instance) -> GeodeticResult:
     return finish("brute-force", inst, full_mask(x.n), True, start)
 
 
-def complete(table: list[list[int]], items: list[tuple[int, int]], row: list[int],
-             uncovered: int, slots: int, budget: Budget,
-             pair_max: list[int] | None = None) -> int | None:
-    """Mask of at most `slots` picks from items that cover `uncovered`, else None.
+def complete(table: list[list[int]], options: list[int], gains: list[int], allowed: int,
+             uncovered: int, slots: int, budget: Budget) -> int | None:
+    """Mask of at most `slots` picks from `allowed` that cover `uncovered`, else None.
 
-    items are (gain, vertex) pairs masked by an ancestor's uncovered set;
-    row is the last pick's table row, OR-ed into each gain to score it here.
-    pair_max holds the pair maxima a `slots` = 3 parent recorded.  Every
-    call opens one node of budget.
+    gains[a] is what picking a alone adds, its own bit included: the union
+    of I(c, a) over the chosen vertices c, plus a.  options[k] is the mask
+    of k's options (Instance.options); a completion covers an uncovered k
+    only if it holds one.  Every call opens one node of budget.
     """
     budget.tick()
     if not uncovered:
         return 0
+    _, k = min([((options[k] & allowed).bit_count(), k) for k in vertices_of(uncovered)])
+    picks = vertices_of(options[k] & allowed)  # none left ends the node
     if slots == 1:
-        for gain, i in items:
-            if (gain | row[i]) & uncovered == uncovered:
-                return 1 << i
+        # every single pick that covers U is an option of k
+        for a in picks:
+            if gains[a] & uncovered == uncovered:
+                return 1 << a
         return None
-
-    scored = sorted(
-        (((gain | row[i]) & uncovered, i) for gain, i in items),
-        key=lambda t: (-t[0].bit_count(), t[1]))
-    child_max = [0] * len(table) if slots == 3 else None
-    if pair_max is not None:
-        reach = stale_pair_reach(scored, pair_max)
-    else:
-        reach = completion_reach(table, scored, uncovered, slots, child_max)
-    need = 2 * uncovered.bit_count()
-    for pos, (gain, i) in enumerate(scored):
-        if reach[pos] < need:
-            return None  # reach only falls as pos grows
-        found = complete(table, scored[pos + 1:], table[i], uncovered & ~gain,
-                         slots - 1, budget, child_max)
+    picks.sort(key=lambda a: (-(gains[a] & uncovered).bit_count(), a))
+    for a in picks:
+        allowed &= ~(1 << a)  # later branches exclude the options tried before
+        found = complete(table, options, list(map(or_, gains, table[a])), allowed,
+                         uncovered & ~gains[a], slots - 1, budget)
         if found is not None:
-            return found | (1 << i)
+            return found | (1 << a)
     return None
 
 
@@ -191,11 +136,12 @@ def exact_geodetic(x: Graph | Instance, limits: SearchLimits | None = None) -> G
     if limits.time_budget is not None or limits.node_budget is not None:
         fallback = greedy_cover(inst)
     budget = Budget(limits, start)
-    roots = [(1 << v, v) for v in range(n) if not (forced >> v) & 1]
+    gains = [gain | 1 << v for v, gain in enumerate(base.gains)]
+    allowed = full_mask(n) & ~forced
     core = forced.bit_count()
     try:
         for slots in range(max(1, 2 - core), n - core):  # totals max(core + 1, 2) .. n - 1
-            chosen = complete(table, roots, base.gains, uncovered, slots, budget)
+            chosen = complete(table, inst.options, gains, allowed, uncovered, slots, budget)
             if chosen is not None:
                 return finish("exact", inst, forced | chosen, True, start)
     except _BudgetExhausted:

@@ -16,9 +16,11 @@ geodetic set contains; forced_core reads it off packed neighbourhoods) so
 that several solvers share one build; it is the one interval store.  Its
 table is built on first read, at most once; inst[v] is row v alone (one
 n x n compare, interval_row), kept until the table exists and the table's
-row after, and both count against TABLE_MEMORY_CAP.  Greedy, exact and brute
-force read the table; locally greedy, add-one, the final check of every
-result and `geodetic verify` read only the rows of the vertices they pick.
+row after, and both count against TABLE_MEMORY_CAP.  Instance.options, the
+sets the exact search branches on, is one more fold over the graph's CSR,
+also built on first read.  Greedy, exact and brute force read the table;
+locally greedy, add-one, the final check of every result and `geodetic
+verify` read only the rows of the vertices they pick.
 
 interval_table builds the table one block of rows at a time (_row_blocks):
 one broadcast compare of the block's rows against every later row, one
@@ -386,6 +388,23 @@ class Instance:
         sizes = interval_sizes(self.dist)
         sizes.setflags(write=False)
         return sizes
+
+    @cached_property
+    def options(self) -> list[int]:
+        """options[k] is the mask of k's options: the vertices a with k in Q[a].
+
+        Q[a] is every k inside some I(a, b) other than as its endpoint b, a
+        itself included: the k with a neighbour farther from a than k is.
+        A set covers a vertex it misses only by holding one of its options.
+        One max-fold of the distance rows over the neighbours, built on first
+        read; the exact search reads it, the heuristics do not.
+        """
+        if self.n == 1:
+            return [1]
+        start, nbrs = csr(self.graph)
+        farthest = _fold_neighbours(np.maximum, self.dist, start, nbrs,
+                                    np.empty_like(self.dist))
+        return _masks(farthest > self.dist)  # [k, a]: a neighbour of k is farther from a
 
     @property
     def has_table(self) -> bool:

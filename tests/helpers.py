@@ -14,6 +14,7 @@ is checked against these.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import sys
@@ -23,7 +24,9 @@ from collections import deque
 from hypothesis import strategies as st
 
 import geodetic.intervals
+from geodetic.bitset import full_mask
 from geodetic.errors import ValidationError
+from geodetic.exact import Budget, SearchLimits
 from geodetic.graph import Graph
 from geodetic.rng import MASK64
 
@@ -334,6 +337,104 @@ def scan_largest_increase(cover) -> tuple[int | None, int]:
             best_count = count
             best = (i, union)
     return best
+
+
+def completion_reach(table: list[list[int]], scored: list[tuple[int, int]],
+                     uncov_mask: int, slots: int, pair_max: list[int] | None = None
+                     ) -> list[int]:
+    """reach[pos] is at least twice what up to `slots` picks from scored[pos:] add.
+
+    scored holds (gain, vertex) pairs, gains masked by uncov_mask (U).  For
+    picks T, 2 * sum_{a<b in T} p(a, b) = sum_{a in T} sum_{b in T - a} p(a, b),
+    with p(a, b) = |I(a, b) & U|, and each inner sum is at most the slots - 1
+    largest p(a, .).  pair_max, when given, receives each scored vertex's
+    largest p(a, .), by vertex.
+    """
+    vertices = [v for _, v in scored]
+    m = len(vertices)
+    counts = [(row[b] & uncov_mask).bit_count()  # p(a, b) at counts[pos(a) * m + pos(b)]
+              for row in map(table.__getitem__, vertices) for b in vertices]
+    reach, top = [], []  # top: min-heap of the `slots` largest caps from pos on
+    for pos in range(m - 1, -1, -1):
+        pairs = counts[pos * m:pos * m + m]
+        pairs[pos] = 0
+        pairs.sort()
+        if pair_max is not None:
+            pair_max[vertices[pos]] = pairs[-1]
+        heapq.heappush(top, 2 * scored[pos][0].bit_count() + sum(pairs[1 - slots:]))
+        if len(top) > slots:
+            heapq.heappop(top)
+        reach.append(sum(top))
+    return reach[::-1]
+
+
+def stale_pair_reach(scored: list[tuple[int, int]], pair_max: list[int]) -> list[int]:
+    """completion_reach at `slots` = 2 from a parent's pair maxima, counting no pairs.
+
+    The candidates here are a subset of the parent's and U only shrinks, so
+    pair_max[a] still bounds every p(a, b), and 2 g(a) + pair_max[a] caps a.
+    """
+    reach, first, second = [], 0, 0  # the two largest caps from pos on
+    for gain, v in reversed(scored):
+        cap = 2 * gain.bit_count() + pair_max[v]
+        if cap > first:
+            first, second = cap, first
+        elif cap > second:
+            second = cap
+        reach.append(first + second)
+    return reach[::-1]
+
+
+def pruned_complete(table: list[list[int]], items: list[tuple[int, int]], row: list[int],
+                    uncovered: int, slots: int, budget: Budget,
+                    pair_max: list[int] | None = None) -> int | None:
+    """Reference completion: candidates in gain order, pruned by completion_reach.
+
+    geodetic.exact.complete branches on options instead; the two must find
+    a completion for the same totals.  items are (gain, vertex) pairs masked
+    by an ancestor's uncovered set; row is the last pick's table row, OR-ed
+    into each gain to score it here.  A slots = 2 node below a slots = 3 one
+    bounds with its parent's pair maxima (stale_pair_reach).
+    """
+    budget.tick()
+    if not uncovered:
+        return 0
+    if slots == 1:
+        for gain, i in items:
+            if (gain | row[i]) & uncovered == uncovered:
+                return 1 << i
+        return None
+    scored = sorted((((gain | row[i]) & uncovered, i) for gain, i in items),
+                    key=lambda t: (-t[0].bit_count(), t[1]))
+    child_max = [0] * len(table) if slots == 3 else None
+    if pair_max is not None:
+        reach = stale_pair_reach(scored, pair_max)
+    else:
+        reach = completion_reach(table, scored, uncovered, slots, child_max)
+    need = 2 * uncovered.bit_count()
+    for pos, (gain, i) in enumerate(scored):
+        if reach[pos] < need:
+            return None  # reach only falls as pos grows
+        found = pruned_complete(table, scored[pos + 1:], table[i], uncovered & ~gain,
+                                slots - 1, budget, child_max)
+        if found is not None:
+            return found | (1 << i)
+    return None
+
+
+def pruned_exact_value(inst) -> int:
+    """Geodetic number by the forced core and pruned_complete over rising totals."""
+    cover = geodetic.intervals.Cover(inst.table, inst.forced)
+    uncovered = full_mask(inst.n) & ~cover.coverage
+    core = inst.forced.bit_count()
+    if not uncovered:
+        return core
+    roots = [(1 << v, v) for v in range(inst.n) if not inst.forced >> v & 1]
+    budget = Budget(SearchLimits(), 0.0)
+    for slots in range(max(1, 2 - core), inst.n - core):
+        if pruned_complete(inst.table, roots, cover.gains, uncovered, slots, budget) is not None:
+            return core + slots
+    return inst.n
 
 
 class ScalarSplitMix64:

@@ -11,7 +11,7 @@ import time
 
 from geodetic.bench import BenchConfig, format_csv, run_grid
 from geodetic.bitset import mask_of
-from geodetic.bounds import diameter_bound, trivial_bound
+from geodetic.bounds import diameter_bound
 from geodetic.cli import main
 from geodetic.exact import brute_force_geodetic, exact_geodetic
 from geodetic.generate import GenSpec, benchmark_grid, edge_count_for_density, generate
@@ -114,7 +114,7 @@ def test_criterion_4_exact_respects_bounds():
                     dist = all_pairs_distances(g)
                     if not (exact.value <= heuristics
                             and exact.value <= diameter_bound(dist)
-                            <= trivial_bound(g)):
+                            <= g.n):
                         bad.append(f"{family} n={n} d={density} seed={seed}")
     report(4, "optimal values never exceed heuristics or the diameter bound",
            not bad, ",".join(bad))

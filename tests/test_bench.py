@@ -31,7 +31,7 @@ PINNED_SETS_SHA256 = "8bd5ffc4684d4e9c447d43f1cb448af01ae5040b313783d369ccd4ad04
 
 # sha256 of exact's vertex sets, one line per cell, on every standard-scheme
 # cell with n <= 30 at seed base 0
-PINNED_EXACT_SETS_SHA256 = "37bc62a7799b8e515f467a0482ea9a09e931bfd8a58570554a315ab24a8fd3d9"
+PINNED_EXACT_SETS_SHA256 = "76727f5d333d47bdade02a717b6d63f00e7d28313a11b881842eef5a70b34e4e"
 
 
 def small_specs():

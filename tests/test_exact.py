@@ -14,11 +14,9 @@ from geodetic.exact import (
     SearchLimits,
     brute_force_geodetic,
     complete,
-    completion_reach,
     exact_geodetic,
-    stale_pair_reach,
 )
-from geodetic.generate import GenSpec, edge_count_for_density, generate
+from geodetic.generate import GenSpec, benchmark_grid, edge_count_for_density, generate
 from geodetic.greedy import greedy_cover, greedy_geodetic
 from geodetic.graph import Graph
 from geodetic.intervals import (
@@ -40,6 +38,7 @@ from helpers import (
     oracle_geodetic_number,
     path_graph,
     petersen_graph,
+    pruned_exact_value,
     random_tree,
     relabeled_pairs,
     star_graph,
@@ -158,89 +157,68 @@ class TestExact:
             exact_geodetic(Graph(4, [(0, 1), (2, 3)]))
 
 
-class TestCompletionReach:
-    @settings(max_examples=150, deadline=None)
-    @given(connected_graphs(max_n=9), st.integers(2, 4), st.data())
-    def test_admissible_against_brute_force(self, g, slots, data):
-        table = Instance.of(g).table
-        members = data.draw(st.sets(st.integers(0, g.n - 1)))
-        cover = Cover(table, mask_of(members))
-        uncov_mask = full_mask(g.n) & ~cover.coverage
-        scored = sorted((((cover.gains[v] | 1 << v) & uncov_mask, v)
-                         for v in range(g.n) if v not in members),
-                        key=lambda t: (-t[0].bit_count(), t[1]))  # the search's order
-        reach = completion_reach(table, scored, uncov_mask, slots)
-        assert len(reach) == len(scored)
-        for pos in range(len(scored)):
-            rest = [v for _, v in scored[pos:]]
-            for size in range(1, slots + 1):
-                for picks in itertools.combinations(rest, size):
-                    added = closure(table, cover.members | mask_of(picks)) & uncov_mask
-                    assert 2 * added.bit_count() <= reach[pos]
+class TestOptions:
+    @staticmethod
+    def assert_singleton_options_are_forced(inst: Instance):
+        singletons = mask_of(k for k, opts in enumerate(inst.options) if opts == 1 << k)
+        assert singletons == inst.forced
 
-
-class TestStalePairReach:
     @settings(max_examples=150, deadline=None)
-    @given(connected_graphs(max_n=9), st.sets(st.integers(0, 8)))
-    # a case where both picks' caps are tight: halving the second cap or
-    # the pair maxima makes the bound inadmissible here, and random draws
-    # alone did not find one
-    @example(Graph(6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)]),
-             {0, 3})
-    def test_admissible_against_brute_force(self, g, start):
-        # a slots = 3 node records its candidates' pair maxima; below each
-        # first pick i, the slots = 2 child bounds with them and counts no pairs
-        table = Instance.of(g).table
-        members = {v for v in start if v < g.n}
-        cover = Cover(table, mask_of(members))
-        uncov_mask = full_mask(g.n) & ~cover.coverage
-        scored = sorted((((cover.gains[v] | 1 << v) & uncov_mask, v)
-                         for v in range(g.n) if v not in members),
-                        key=lambda t: (-t[0].bit_count(), t[1]))
-        pair_max = [0] * g.n
-        completion_reach(table, scored, uncov_mask, 3, pair_max)
-        for first, (gain, i) in enumerate(scored):
-            child_mask = uncov_mask & ~gain
-            child = sorted((((g_j | table[i][j]) & child_mask, j) for g_j, j in scored[first + 1:]),
-                           key=lambda t: (-t[0].bit_count(), t[1]))  # complete's order
-            reach = stale_pair_reach(child, pair_max)
-            assert len(reach) == len(child)
-            base = cover.members | 1 << i
-            for size in (1, 2):
-                # picks from child[pos:] are bounded by reach[pos], tightest
-                # at the first pick's position
-                for picks in itertools.combinations(range(len(child)), size):
-                    added = closure(table, base | mask_of(child[p][1] for p in picks)) & child_mask
-                    assert 2 * added.bit_count() <= reach[picks[0]]
+    @given(connected_graphs(max_n=14))
+    @example(Graph(1, []))
+    def test_forced_core_is_the_singleton_options(self, g):
+        self.assert_singleton_options_are_forced(Instance.of(g))
+
+    @pytest.mark.parametrize("spec", [s for s in benchmark_grid("standard") if s.n <= 60],
+                             ids=lambda s: f"{s.family}-{s.n}-s{s.seed}")
+    def test_forced_core_is_the_singleton_options_on_standard_cells(self, spec):
+        self.assert_singleton_options_are_forced(Instance.of(generate(spec)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=9))
+    def test_options_cover_every_interval_containing_k(self, g):
+        # k in I(a, b) with k != b makes a an option of k, and nothing else does
+        inst = Instance.of(g)
+        for k in range(g.n):
+            expect = mask_of(a for a in range(g.n)
+                             if a == k or any(inst.table[a][b] >> k & 1
+                                              for b in range(g.n) if b != k))
+            assert inst.options[k] == expect
 
 
 class TestComplete:
     @settings(max_examples=150, deadline=None)
-    @given(connected_graphs(max_n=9), st.integers(1, 4), st.sets(st.integers(0, 8)))
-    # its 3-vertex covers are found only when the slots = 2 nodes below
-    # slots = 3 credit each candidate with its pair maximum
-    @example(Graph(6, [(0, 1), (0, 5), (1, 2), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)]),
-             3, set())
-    def test_completes_exactly_when_enumeration_does(self, g, slots, start):
-        # slots 3 and 4 reach the stale-bound nodes at slots = 2 and the
-        # single-pick scans at slots = 1 below them
-        table = Instance.of(g).table
+    @given(connected_graphs(max_n=9), st.integers(1, 4), st.sets(st.integers(0, 8)),
+           st.sets(st.integers(0, 8)))
+    def test_completes_exactly_when_enumeration_does(self, g, slots, start, excluded):
+        # excluded vertices stand for the options an earlier sibling tried
+        inst = Instance.of(g)
+        table = inst.table
         full = full_mask(g.n)
         members = mask_of(start) & full
         cover = Cover(table, members)
-        candidates = [v for v in range(g.n) if not members >> v & 1]
+        allowed = full & ~members & ~mask_of(excluded)
         budget = Budget(SearchLimits(), 0.0)
-        found = complete(table, [(1 << v, v) for v in candidates], cover.gains,
-                         full & ~cover.coverage, slots, budget)
+        found = complete(table, inst.options, [gain | 1 << v for v, gain in enumerate(cover.gains)],
+                         allowed, full & ~cover.coverage, slots, budget)
+        candidates = [v for v in range(g.n) if allowed >> v & 1]
         exists = any(closure(table, members | mask_of(picks)) == full
                      for size in range(slots + 1)
                      for picks in itertools.combinations(candidates, size))
         assert (found is not None) == exists
         if found is not None:
-            assert found & ~mask_of(candidates) == 0
+            assert found & ~allowed == 0
             assert found.bit_count() <= slots
             assert closure(table, members | found) == full
         assert budget.nodes >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=16))
+    def test_value_matches_the_pruned_search(self, g):
+        # the reference branches on candidates in gain order and prunes with
+        # pair-counting bounds, so it shares no branching rule with complete
+        inst = Instance.of(g)
+        assert exact_geodetic(inst).value == pruned_exact_value(inst)
 
 
 # Each family's builder and the closed form of its geodetic number, a function
@@ -375,21 +353,25 @@ class TestSearchLimits:
         assert not res.optimal
         assert mask_of(res.vertices) == greedy_cover(inst)
 
-    def test_pair_bound_proves_within_node_budget(self):
-        # proved in 6,680 nodes; a bound that credits every future pair with
-        # the largest residual pair interval needs 14,099
-        g = generate(GenSpec("BA", 30, edge_count_for_density(30, 0.2), seed=3))
-        res = exact_geodetic(g, SearchLimits(node_budget=10_000))
-        assert (res.optimal, res.value) == (True, 9)
+    @pytest.mark.parametrize("family,n,density,seed,nodes,value", [
+        # proved in 1,497 nodes (test_node_budget_pins_nodes_to_proof)
+        ("BA", 30, 0.2, 3, 10_000, 9),
+        # proved in 125,615 nodes, about 2 s
+        ("WS", 60, 0.1, 1, 200_000, 7),
+    ])
+    def test_proves_within_node_budget(self, family, n, density, seed, nodes, value):
+        g = generate(GenSpec(family, n, edge_count_for_density(n, density), seed=seed))
+        res = exact_geodetic(g, SearchLimits(node_budget=nodes))
+        assert (res.optimal, res.value) == (True, value)
 
     @pytest.mark.parametrize("family,seed,nodes,expect", [
-        ("BA", 3, 6680, (True, 9)),
-        ("BA", 3, 6679, (False, 10)),
-        ("ER", 2, 3338, (True, 7)),
-        ("ER", 2, 3337, (False, 7)),
+        ("BA", 3, 1497, (True, 9)),
+        ("BA", 3, 1496, (False, 10)),
+        ("ER", 2, 1110, (True, 7)),
+        ("ER", 2, 1109, (False, 7)),
     ])
     def test_node_budget_pins_nodes_to_proof(self, family, seed, nodes, expect):
-        # the proof opens exactly 6,680 and 3,338 nodes; one fewer returns
+        # the proof opens exactly 1,497 and 1,110 nodes; one fewer returns
         # greedy's cover, flagged non-optimal
         g = generate(GenSpec(family, 30, edge_count_for_density(30, 0.2), seed=seed))
         res = exact_geodetic(g, SearchLimits(node_budget=nodes))
